@@ -8,13 +8,12 @@ handled through the subdirect-product embedding of the two factors.
 """
 
 import math
-from dataclasses import dataclass, field
-
-import sympy
+from dataclasses import dataclass
 
 from .bounds import BoundReport, main_theorem_bound
+from .catalog import factorize, is_prime_power
 from .config import Config
-from .engine import alternating, as_indexed, is_law, psl2_group
+from .engine import alternating, is_law, psl2_group
 from .words import Word, neumann_exponent, parse_word, split_disjoint_commutator, to_string
 
 VERDICT_FT = "TrivialByFeitThompson"
@@ -24,10 +23,8 @@ VERDICT_TRIVIAL_FACTORS = "TrivialByFactors"
 VERDICT_UNKNOWN = "Unknown"
 
 # desk-realizable witness pool, in report order
-_POOL = tuple([("alternating(%d)" % m, "Alt(%d)" % m) for m in range(5, 10)]
-              + [("psl2(%d)" % q, "PSL(2,%d)" % q) for q in (4, 5, 7, 8, 9, 11)])
-
-_EXPONENT_CACHE = {}
+_POOL = tuple([("alternating", m, "Alt(%d)" % m) for m in range(5, 10)]
+              + [("psl2", q, "PSL(2,%d)" % q) for q in (4, 5, 7, 8, 9, 11)])
 
 
 @dataclass(frozen=True)
@@ -87,45 +84,30 @@ class AnalysisReport:
 
 def factor_exponent(n: int) -> tuple:
     """Sorted prime-power factorization of n; empty for n = 1."""
-    if n < 1:
-        raise ValueError("exponent must be positive")
-    return tuple(sorted(sympy.factorint(n).items()))
+    return factorize(n)
 
 
-def _alternating_exponent(m: int) -> int:
-    """Exponent of Alt(m): lcm of cycle-type orders over even partitions."""
-    exp = 1
-    for partition in sympy.utilities.iterables.partitions(m):
-        parts = [p for p, mult in partition.items() for _ in range(mult)]
-        if (m - len(parts)) % 2:
-            continue
-        exp = math.lcm(exp, math.lcm(*parts))
-    return exp
+def _pool_exponent(kind: str, arg: int) -> int:
+    """Exponent of a pool group in closed form, without enumerating it.
 
-
-def _build_pool_group(descriptor: str):
-    kind, arg = descriptor.split("(")
-    arg = int(arg.rstrip(")"))
+    Alt(m): an element's order is the lcm of its cycle lengths, and a cycle
+    of odd length is even while one of even length needs a second even
+    cycle beside it; so the exponent is the lcm of the odd prime powers
+    <= m and the largest power of 2 that is <= m - 2. PSL(2,q), q = p^f:
+    element orders divide p, (q-1)/k or (q+1)/k with k = gcd(2, q-1), and
+    each of the three is attained.
+    """
     if kind == "alternating":
-        return alternating(arg)
-    return psl2_group(arg)
-
-
-def _pool_exponent(descriptor: str, config: Config) -> int:
-    if descriptor in _EXPONENT_CACHE:
-        return _EXPONENT_CACHE[descriptor]
-    G = _build_pool_group(descriptor)
-    if G.order() > config.cayley_cap:
-        if not descriptor.startswith("alternating"):
-            raise RuntimeError("pool group %s exceeds the indexing cap" % descriptor)
-        exp = _alternating_exponent(int(descriptor.split("(")[1].rstrip(")")))
-    else:
-        Gi = as_indexed(G, cap=config.cayley_cap)
         exp = 1
-        for i in range(Gi.n):
-            exp = math.lcm(exp, Gi.order_of(i))
-    _EXPONENT_CACHE[descriptor] = exp
-    return exp
+        for r in range(3, arg + 1, 2):
+            if is_prime_power(r):
+                exp = math.lcm(exp, r)
+        two = 1
+        while 2 * two <= arg - 2:
+            two *= 2
+        return math.lcm(exp, two)
+    k = math.gcd(2, arg - 1)
+    return math.lcm(factorize(arg)[0][0], (arg - 1) // k, (arg + 1) // k)
 
 
 def _search_witnesses(n: int, config: Config):
@@ -134,11 +116,11 @@ def _search_witnesses(n: int, config: Config):
     witnesses = []
     notes = []
     law = Word.make(((1, n),), rank=1)
-    for descriptor, name in _POOL:
-        exp = _pool_exponent(descriptor, config)
+    for kind, arg, name in _POOL:
+        exp = _pool_exponent(kind, arg)
         if n % exp:
             continue
-        G = _build_pool_group(descriptor)
+        G = alternating(arg) if kind == "alternating" else psl2_group(arg)
         if G.order() > config.cayley_cap:
             notes.append("%s satisfies the law but exceeds the exhaustive "
                          "verification cap; excluded" % name)
@@ -147,7 +129,8 @@ def _search_witnesses(n: int, config: Config):
         if not verdict.holds:
             raise RuntimeError("exponent of %s divides %d but the law check failed"
                                % (name, n))
-        witnesses.append(WitnessRecord(descriptor, name, exp, verdict.checked))
+        witnesses.append(WitnessRecord("%s(%d)" % (kind, arg), name, exp,
+                                       verdict.checked))
     return tuple(witnesses), notes
 
 
@@ -249,9 +232,14 @@ def analyze_disjoint_commutator(w: Word, d: int,
                       "embedding forces the quotient variety to be trivial")
         verdict = VERDICT_TRIVIAL_FACTORS
     elif sub1.verdict in trivial or sub2.verdict in trivial:
-        which = "first" if sub1.verdict in trivial else "second"
+        which, other = (("first", sub2) if sub1.verdict in trivial
+                        else ("second", sub1))
         conclusion = ("the %s factor variety is trivial, so the group embeds "
                       "into the other factor's variety" % which)
+        # every group satisfying the other factor's law satisfies w, so
+        # that factor's witnesses carry over
+        verdict = other.verdict
+        witnesses = other.witnesses
     else:
         conclusion = ("the group embeds as a subdirect product into the "
                       "product of the two factor varieties")

@@ -123,7 +123,8 @@ def lie_product_bound(p: BoundParams) -> LieBounds:
 
 @dataclass(frozen=True)
 class SemisimpleBounds:
-    """Literal product over the classification versus the normalized form.
+    """Literal product over the classification versus the normalized form,
+    with the alternating, Lie and sporadic stages the product was built from.
 
     The two are not comparable pointwise: the normalized E_2(c d l ln l)
     absorbs unspecified constants, so at small parameters the literal
@@ -133,6 +134,9 @@ class SemisimpleBounds:
 
     product: TowerNumber
     normalized: TowerNumber
+    alternating: TowerNumber
+    lie: LieBounds
+    sporadic: TowerNumber
 
 
 def sporadic_factor(p: BoundParams) -> TowerNumber:
@@ -143,11 +147,11 @@ def sporadic_factor(p: BoundParams) -> TowerNumber:
 def semisimple_bound(p: BoundParams) -> SemisimpleBounds:
     """Bound for semisimple groups with a d-generated law-l quotient source:
     alternating stage times every Lie family grid times the sporadic factor."""
-    product = mul_t(alt_product_bound(p), lie_product_bound(p).grid_total)
-    product = mul_t(product, sporadic_factor(p))
+    alt, lie, spor = alt_product_bound(p), lie_product_bound(p), sporadic_factor(p)
+    product = mul_t(mul_t(alt, lie.grid_total), spor)
     # built exactly as the k=1 recursion layer, so the two stay comparable
     normalized = big_E(2, mul_t(from_real(_scale_part(p)), from_real(p.d)))
-    return SemisimpleBounds(product, normalized)
+    return SemisimpleBounds(product, normalized, alt, lie, spor)
 
 
 @dataclass(frozen=True)
@@ -164,15 +168,7 @@ def anabelian_bound(p: BoundParams) -> AnabelianBounds:
     subgroup is at most E_2(x_d), Schreier's theorem regenerates it with
     at most d*E_2(x_d) elements, and the product telescopes.
     """
-    scale = from_real(_scale_part(p))
-    d_t = from_real(p.d)
-    recursive = _ONE
-    for _ in range(p.k):
-        layer = big_E(2, mul_t(scale, d_t))
-        recursive = mul_t(recursive, layer)
-        d_t = mul_t(d_t, layer)
-    closed = big_E(2 * p.k, from_real(2 * _seed_x(p)))
-    return AnabelianBounds(recursive, closed)
+    return anabelian_bound_series(p, p.k)[-1]
 
 
 def anabelian_bound_series(p: BoundParams, k_max: int) -> list:
@@ -278,7 +274,6 @@ def main_theorem_bound(w: Word, d: int, lambda_override: int | None = None,
     notes.append("constants: c=%g c1=%g c2=%g c3=%g c4=%g sporadic_max=%s"
                  % (config.c, config.c1, config.c2, config.c3, config.c4,
                     config.sporadic_max))
-    lie = lie_product_bound(p)
     semi = semisimple_bound(p)
     ana = anabelian_bound(p)
     if cmp_t(ana.recursive, ana.closed) > 0:
@@ -286,10 +281,10 @@ def main_theorem_bound(w: Word, d: int, lambda_override: int | None = None,
     return BoundReport(
         params=p,
         lambda_used=k,
-        alt_bound=alt_product_bound(p),
-        lie_closed=lie.closed,
-        lie_grids=dict(lie.grids),
-        sporadic=sporadic_factor(p),
+        alt_bound=semi.alternating,
+        lie_closed=semi.lie.closed,
+        lie_grids=dict(semi.lie.grids),
+        sporadic=semi.sporadic,
         semisimple_product=semi.product,
         semisimple_normalized=semi.normalized,
         anabelian_recursive=ana.recursive,

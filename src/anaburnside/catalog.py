@@ -114,33 +114,41 @@ def _check_rank(family: str, k: int) -> None:
         raise ValueError("unknown family %r" % family)
 
 
+def factorize(n: int) -> tuple:
+    """Prime factorization of n >= 1 by trial division, as sorted (p, e)
+    pairs; empty for n = 1."""
+    if n < 1:
+        raise ValueError("can only factorize positive integers")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return True  # q itself is prime
+    return q >= 2 and len(factorize(q)) == 1
 
 
 def _q_admissible(family: str, q: int) -> bool:
+    factors = factorize(q) if q >= 2 else ()
+    if len(factors) != 1:
+        return False
     kind = _Q_KIND[family]
     if kind == "all":
-        return is_prime_power(q)
-    if kind in ("odd2", "odd2_min8"):
-        if kind == "odd2_min8" and q < 8:
-            return False
-        e = q.bit_length() - 1
-        return q == 1 << e and e % 2 == 1
-    if kind == "odd3":
-        e = 0
-        while q % 3 == 0:
-            q //= 3
-            e += 1
-        return q == 1 and e % 2 == 1
-    raise AssertionError(kind)
+        return True
+    if kind == "odd2_min8" and q < 8:
+        return False
+    p, e = factors[0]
+    return p == (3 if kind == "odd3" else 2) and e % 2 == 1
 
 
 def family_ranks(family: str, max_rank: int) -> list:
@@ -154,14 +162,9 @@ def family_ranks(family: str, max_rank: int) -> list:
 
 
 def admissible_q_values(family: str, limit: int) -> list:
-    """Admissible field sizes q for the family, ascending, up to limit."""
+    """Admissible field sizes q for the family, ascending, up to limit inclusive."""
     if family not in _Q_KIND:
         raise ValueError("unknown family %r" % family)
-    return list(_admissible_q_values(family, limit))
-
-
-def _admissible_q_values(family: str, limit: int):
-    """Admissible q for the family, ascending, up to limit inclusive."""
     kind = _Q_KIND[family]
     if kind == "all":
         return [q for q in range(2, limit + 1) if is_prime_power(q)]
@@ -287,7 +290,7 @@ def law_length_lower_bound(gid, c_lower: float = 1.0) -> int:
 
 def _max_rank_for_length(family: str, length: int, c_lower: float) -> int:
     """Largest rank whose cheapest admissible q still meets the length filter."""
-    q_min = _admissible_q_values(family, 16)[0]
+    q_min = admissible_q_values(family, 16)[0]
     k = _MIN_RANK[family]
     last = k - 1
     # a(X).low is nondecreasing in k for every classical family, so stop at
@@ -317,15 +320,16 @@ def candidates_for_law_length(length: int, c_lower: float = 1.0, d: int = 1) -> 
     while law_length_lower_bound(AltId(m), c_lower) <= length:
         out.append(AltId(m))
         m += 1
+    # q <= (length/c_lower)^2 covers even the sqrt(q) Suzuki filter
+    q_cap = max(4, int(math.ceil((length / c_lower) ** 2)) + 1)
     for family in FAMILY_ORDER:
         if family in _FIXED_RANK:
             ranks = [_FIXED_RANK[family]]
         else:
             ranks = range(_MIN_RANK[family], _max_rank_for_length(family, length, c_lower) + 1)
+        qs = admissible_q_values(family, q_cap)
         for k in ranks:
-            # q <= (length/c_lower)^2 covers even the sqrt(q) Suzuki filter
-            q_cap = max(4, int(math.ceil((length / c_lower) ** 2)) + 1)
-            for q in _admissible_q_values(family, q_cap):
+            for q in qs:
                 gid = LieId(family, k, q)
                 if law_length_lower_bound(gid, c_lower) <= length:
                     out.append(gid)

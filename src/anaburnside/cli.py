@@ -15,9 +15,8 @@ from .analyzer import analyze
 from .bounds import main_theorem_bound
 from .catalog import candidates_for_law_length, catalog_table_rows
 from .config import Config, load_config
-from .engine import (composition_report, from_file, group_exponent, is_law,
-                     make_group, nonsolvable_length, resolve_series_descriptor,
-                     shortest_law_search, verify_series_lambda)
+from .engine import (as_indexed, composition_report, from_file, is_law, make_group,
+                     nonsolvable_length, shortest_law_search, verify_series_lambda)
 from .errors import CapExceeded, TowerOverflow, WordSyntaxError
 from .towers import render_tower
 from .words import parse_word, to_string
@@ -157,11 +156,18 @@ def _cmd_lawcheck(args, config):
 
 def _cmd_lambda(args, config):
     G = _load_group(args)
+    # one index under the configured cap serves lambda and composition; a
+    # verified series works on generators and needs none
+    Gi = None
+    if G.order() <= config.cayley_cap:
+        Gi = as_indexed(G, cap=config.cayley_cap)
     if args.series:
         descriptors = [s.strip() for s in args.series.split(",")]
         report = verify_series_lambda(G, descriptors)
+    elif Gi is None:
+        raise CapExceeded("order %d exceeds cap %d" % (G.order(), config.cayley_cap))
     else:
-        report = nonsolvable_length(G, certify_cap=config.lambda_certify_cap)
+        report = nonsolvable_length(Gi, certify_cap=config.lambda_certify_cap)
     result = {"value": report.value, "exact": report.exact,
               "notes": list(report.notes),
               "factors": [{"description": f.description, "order": f.order,
@@ -171,8 +177,8 @@ def _cmd_lambda(args, config):
     lines += ["factor: %s (order %d, %s)" % (f.description, f.order, f.kind)
               for f in report.factors]
     lines += ["note: %s" % n for n in report.notes]
-    if G.order() <= config.cayley_cap:
-        comp = composition_report(G)
+    if Gi is not None:
+        comp = composition_report(Gi)
         result["composition_factors"] = [f.name for f in comp.factors]
         result["anabelian"] = comp.anabelian
         lines.append("composition factors: " + ", ".join(f.name for f in comp.factors))

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+from ..catalog import factorize
 from ..errors import CapExceeded
 from .indexed import TableGroup
 from .perm import Permutation, PermGroup
@@ -27,7 +28,10 @@ class GaloisField:
     """Arithmetic tables for GF(q), elements encoded as 0..q-1 base-p digits."""
 
     def __init__(self, q):
-        p, e = _prime_power_split(q)
+        factors = factorize(q) if q >= 2 else ()
+        if len(factors) != 1:
+            raise ValueError("%d is not a prime power" % q)
+        p, e = factors[0]
         self.q, self.p, self.e = q, p, e
         if e > 1 and q not in _IRREDUCIBLE:
             raise ValueError("no modulus table for q=%d" % q)
@@ -83,22 +87,6 @@ class GaloisField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
-
-
-def _prime_power_split(q):
-    if q < 2:
-        raise ValueError("q must be a prime power >= 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, e
-    raise ValueError("%d is not a prime power" % q)
 
 
 def cyclic(n):

@@ -10,7 +10,7 @@ from ..errors import CapExceeded
 from ..words import Word, evaluate
 from .indexed import PermIndexedGroup, TableGroup, as_indexed, densify
 from .perm import PermGroup
-from .structure import _minimal_normals_with_gens, subgroup_closure
+from .structure import is_simple, subgroup_closure
 
 EXHAUST_CAP = 100_000_000
 DEFAULT_SEED = 20260816
@@ -388,15 +388,6 @@ def automorphism_count(G):
             if ok:
                 count += 1
     return count
-
-
-def is_simple(G):
-    """Simple: the only nontrivial normal subgroup is the whole group."""
-    Gi = as_indexed(G)
-    if Gi.n == 1:
-        return False
-    mins = _minimal_normals_with_gens(Gi)
-    return len(mins) == 1 and len(mins[0][0]) == Gi.n
 
 
 def max_d_generated_power(G, d):

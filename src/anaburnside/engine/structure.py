@@ -3,8 +3,9 @@
 import math
 from dataclasses import dataclass, field
 
+from ..catalog import factorize, is_prime_power
 from ..errors import CapExceeded
-from .indexed import CAYLEY_CAP, IndexedGroup, QuotientGroup, SubgroupView, as_indexed
+from .indexed import QuotientGroup, SubgroupView, as_indexed
 from .perm import PermGroup, Permutation
 
 LAMBDA_CERTIFY_CAP = 5_000
@@ -35,13 +36,16 @@ def subgroup_closure(G, gens, cap=None):
     return seen
 
 
-def normal_closure_indexed(G, seeds, cap=None, reject_supersets=()):
-    """Normal closure of the seeds with its generator list.
+def normal_closure_indexed(G, seeds, cap=None, reject_supersets=(), conjugators=None):
+    """Closure of the seeds under multiplication and conjugation by
+    `conjugators` (default: the group's generators), with its generator list.
 
     Returns (element set, generators) or None when the closure passes `cap`
     or is seen to strictly contain a set from `reject_supersets` (used to
     discard provably non-minimal candidates early).
     """
+    if conjugators is None:
+        conjugators = G.generator_indices
     e = G.identity_index
     gens = []
     for s in seeds:
@@ -58,7 +62,7 @@ def normal_closure_indexed(G, seeds, cap=None, reject_supersets=()):
                 return None
         added = False
         for h in list(gens):
-            for g in G.generator_indices:
+            for g in conjugators:
                 c = G.conjugate(h, g)
                 if c not in S:
                     gens.append(c)
@@ -115,7 +119,8 @@ def _minimal_normals_with_gens(G):
         rep = cls[0]
         if rep == e:
             continue
-        if _is_prime(G.order_of(rep)):
+        order = G.order_of(rep)
+        if factorize(order) == ((order, 1),):  # prime order
             reps.append((len(cls), rep))
     reps.sort()
     found = []
@@ -142,47 +147,10 @@ def _minimal_normals_with_gens(G):
     return out
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
 def minimal_normal_subgroups(G):
     """Minimal normal subgroups as frozensets of element indexes."""
     Gi = as_indexed(G)
     return [S for S, _ in _minimal_normals_with_gens(Gi)]
-
-
-def derived_set(G, subgroup_gens=None):
-    """Derived subgroup as (set, gens); of a subgroup when gens are given."""
-    ambient = list(subgroup_gens) if subgroup_gens is not None else list(G.generator_indices)
-    comms = []
-    for i, a in enumerate(ambient):
-        for b in ambient[i + 1:]:
-            c = G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-            comms.append(c)
-    e = G.identity_index
-    gens = []
-    for c in comms:
-        if c != e and c not in gens:
-            gens.append(c)
-    if not gens:
-        return {e}, ()
-    while True:
-        S = subgroup_closure(G, gens)
-        added = False
-        for h in list(gens):
-            for g in ambient:
-                c = G.conjugate(h, g)
-                if c not in S:
-                    gens.append(c)
-                    added = True
-        if not added:
-            return S, tuple(gens)
 
 
 def derived_series_sets(G):
@@ -190,7 +158,10 @@ def derived_series_sets(G):
     Gi = as_indexed(G)
     series = [(set(range(Gi.n)), tuple(Gi.generator_indices))]
     while True:
-        S, gens = derived_set(Gi, series[-1][1])
+        ambient = series[-1][1]
+        comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
+                 for i, a in enumerate(ambient) for b in ambient[i + 1:]]
+        S, gens = normal_closure_indexed(Gi, comms, conjugators=ambient)
         if len(S) == len(series[-1][0]):
             break
         series.append((S, gens))
@@ -254,23 +225,11 @@ _ALT_ORDERS = {math.factorial(m) // 2: "Alt(%d)" % m for m in range(5, 21)}
 def _psl2_orders():
     out = {}
     for q in range(4, 1024):
-        if not _is_prime_power(q):
+        if not is_prime_power(q):
             continue
         order = q * (q * q - 1) // math.gcd(2, q - 1)
         out.setdefault(order, "PSL(2,%d)" % q)
     return out
-
-
-def _is_prime_power(q):
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = q
-            while m % p == 0:
-                m //= p
-            return m == 1
-    return False
 
 
 _PSL2_ORDERS = _psl2_orders()
@@ -377,6 +336,15 @@ def _composition_rec(Q, factors, series, lift):
     _composition_rec(QQ, factors, series, lift2)
 
 
+def is_simple(G):
+    """Simple: the only nontrivial normal subgroup is the whole group."""
+    Gi = as_indexed(G)
+    if Gi.n == 1:
+        return False
+    mins = _minimal_normals_with_gens(Gi)
+    return len(mins) == 1 and len(mins[0][0]) == Gi.n
+
+
 def is_anabelian(G):
     """True when no composition factor is cyclic."""
     return composition_report(G).anabelian
@@ -392,9 +360,7 @@ def is_semisimple(G):
     for S, gens in mins:
         if _gens_commute(Gi, gens):
             return False
-        V = SubgroupView(Gi, sorted(S), gens)
-        sub = _minimal_normals_with_gens(V)
-        if len(sub) != 1 or len(sub[0][0]) != V.n:
+        if not is_simple(SubgroupView(Gi, sorted(S), gens)):
             return False
         product *= len(S)
     if product != Gi.n:
@@ -509,16 +475,6 @@ def _factor_weight(G, M, N):
 # ---------------------------------------------------------------------------
 # series verification for large permutation groups
 
-def _perfect_core(group):
-    """Last term of the derived series."""
-    core = group
-    while True:
-        nxt = core.derived_subgroup()
-        if nxt.order() == core.order():
-            return core
-        core = nxt
-
-
 def _orbit_restriction(group, orbit):
     pos = {p: i for i, p in enumerate(orbit)}
     gens = [Permutation([pos[g(p)] for p in orbit]) for g in group.generators]
@@ -527,12 +483,7 @@ def _orbit_restriction(group, orbit):
 
 def _is_simple_nonabelian(group):
     Gi = as_indexed(group, cap=SEMISIMPLE_INDEX_CAP)
-    if Gi.n == 1:
-        return False
-    mins = _minimal_normals_with_gens(Gi)
-    if len(mins) != 1 or len(mins[0][0]) != Gi.n:
-        return False
-    return not _gens_commute(Gi, mins[0][1])
+    return is_simple(Gi) and not _gens_commute(Gi, Gi.generator_indices)
 
 
 def _certify_semisimple(group):
@@ -623,7 +574,7 @@ def verify_series_lambda(G, descriptors):
         if ratio == 1:
             continue
         desc = "%s / %s" % (dhi, dlo)
-        core = _perfect_core(hi)
+        core = hi.derived_series()[-1]  # the perfect core
         if core.is_subgroup_of(lo):
             factors.append(LambdaFactor(desc, ratio, "solvable", False,
                                         "perfect core of the upper term lies in the lower term"))

@@ -1,10 +1,12 @@
 """Triviality decision procedure: verdicts, witnesses, commutator splitting."""
 
 import json
+import math
 
 import pytest
 
 from anaburnside.analyzer import (
+    _POOL,
     VERDICT_BURNSIDE,
     VERDICT_FT,
     VERDICT_TRIVIAL_FACTORS,
@@ -12,10 +14,12 @@ from anaburnside.analyzer import (
     VERDICT_WITNESS,
     analyze,
     analyze_disjoint_commutator,
+    _pool_exponent,
     classify,
     factor_exponent,
 )
 from anaburnside.config import Config
+from anaburnside.engine import alternating, group_exponent, psl2_group
 from anaburnside.words import parse_word
 
 
@@ -56,6 +60,39 @@ def test_witness_verdicts():
     assert "Alt(6)" in [w.name for w in r.witnesses]
     r = classify(parse_word("x^84"), d=2)
     assert "PSL(2,7)" in [w.name for w in r.witnesses]
+
+
+def test_pool_exponents_match_enumeration():
+    for kind, arg, name in _POOL:
+        G = alternating(arg) if kind == "alternating" else psl2_group(arg)
+        assert _pool_exponent(kind, arg) == group_exponent(G), name
+
+
+def _partitions(m, largest=None):
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def test_alternating_exponent_matches_even_partition_lcm():
+    # Alt(m) holds the cycle types with an even number of even-length
+    # cycles, i.e. m minus the number of cycles is even.
+    for m in range(1, 17):
+        brute = 1
+        for parts in _partitions(m):
+            if (m - len(parts)) % 2 == 0:
+                brute = math.lcm(brute, *parts)
+        assert _pool_exponent("alternating", m) == brute, m
+
+
+def test_witnesses_under_small_cayley_cap():
+    # groups above the cap are only ever built, never indexed or enumerated
+    r = classify(parse_word("x^30"), d=2, config=Config(cayley_cap=100))
+    assert r.verdict == VERDICT_WITNESS
+    assert [w.name for w in r.witnesses] == ["Alt(5)", "PSL(2,4)", "PSL(2,5)"]
 
 
 def test_exponent_with_three_primes_but_no_witness():
@@ -113,6 +150,19 @@ def test_disjoint_commutator_both_trivial():
     assert "both factor varieties are trivial" in r.conclusion
     sub_verdicts = [s.verdict for s in r.sub_reports]
     assert sub_verdicts == [VERDICT_FT, VERDICT_BURNSIDE]
+
+
+def test_disjoint_commutator_one_trivial_factor_keeps_witnesses():
+    # every group satisfying x^30 satisfies [x^30, y^4]
+    r = analyze(parse_word("[x^30,y^4]"), d=2)
+    assert [s.verdict for s in r.sub_reports] == [VERDICT_WITNESS, VERDICT_BURNSIDE]
+    assert r.verdict == VERDICT_WITNESS
+    assert [w.name for w in r.witnesses] == ["Alt(5)", "PSL(2,4)", "PSL(2,5)"]
+    assert "second factor variety is trivial" in r.conclusion
+    r = analyze(parse_word("[x^9,y^42]"), d=2)
+    assert [s.verdict for s in r.sub_reports] == [VERDICT_FT, VERDICT_UNKNOWN]
+    assert r.verdict == VERDICT_UNKNOWN
+    assert r.witnesses == ()
 
 
 def test_disjoint_commutator_unknown_embeds():

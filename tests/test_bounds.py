@@ -1,10 +1,12 @@
 """Bound stages: alternating, Lie grid, semisimple, recursion, main bound."""
 
 import math
+from collections import Counter
 
 import mpmath
 import pytest
 
+from anaburnside import bounds
 from anaburnside.bounds import (
     AnabelianBounds,
     BoundParams,
@@ -185,6 +187,18 @@ def test_main_theorem_bound_deterministic():
     b = main_theorem_bound(parse_word("x^30"), d=2)
     assert render_tower(a.main_bound) == render_tower(b.main_bound)
     assert a.to_dict() == b.to_dict()
+
+
+def test_main_theorem_bound_evaluates_each_stage_once(monkeypatch):
+    calls = Counter()
+    for name in ("lie_product_bound", "alt_product_bound", "sporadic_factor"):
+        def counted(p, fn=getattr(bounds, name), name=name):
+            calls[name] += 1
+            return fn(p)
+        monkeypatch.setattr(bounds, name, counted)
+    main_theorem_bound(parse_word("x^30"), d=2)
+    assert calls == {"lie_product_bound": 1, "alt_product_bound": 1,
+                     "sporadic_factor": 1}
 
 
 def test_main_theorem_lambda_override():

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, JSON envelopes, config."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,29 @@ def test_exit_three_on_cap(capsys):
     code, _, err = run(capsys, ["lawcheck", "[[x,y],[z,w]]", "--group",
                                 "alt6"])
     assert code == 3
+
+
+def test_lambda_respects_cayley_cap(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cayley_cap": 1000}))
+    code, out, err = run(capsys, ["--config", str(cfg), "lambda", "--group",
+                                  "alternating(7)", "--json"])
+    assert code == 3
+    assert out == ""
+    assert "cap 1000" in err
+    code, out, _ = run(capsys, ["--config", str(cfg), "lambda", "--group",
+                                "alternating(6)", "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["composition_factors"] == ["Alt(6)"]
+
+
+def test_cli_import_does_not_load_sympy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run([sys.executable, "-c",
+                    "import anaburnside.cli, sys; assert 'sympy' not in sys.modules"],
+                   env=env, check=True, timeout=120)
 
 
 def test_config_file_option(capsys, tmp_path):
