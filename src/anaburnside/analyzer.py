@@ -240,6 +240,13 @@ def analyze_disjoint_commutator(w: Word, d: int,
         # that factor's witnesses carry over
         verdict = other.verdict
         witnesses = other.witnesses
+    elif sub1.witnesses or sub2.witnesses:
+        conclusion = ("every group satisfying either factor's law satisfies "
+                      "the commutator, so each factor's witnesses carry over")
+        verdict = VERDICT_WITNESS
+        first = {w.descriptor for w in sub1.witnesses}
+        witnesses = sub1.witnesses + tuple(w for w in sub2.witnesses
+                                           if w.descriptor not in first)
     else:
         conclusion = ("the group embeds as a subdirect product into the "
                       "product of the two factor varieties")

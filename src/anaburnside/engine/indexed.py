@@ -1,9 +1,16 @@
 """Element-indexed group substrates.
 
-These give every element an index 0..n-1 with constant-time multiplication,
-the representation used for exhaustive normal-structure work. A dense n x n
-table is only materialized for small orders; larger groups keep a compact
-per-element representation with the same interface.
+These give every element an index 0..n-1, the representation used for
+exhaustive normal-structure work. A dense n x n table is only materialized
+for small orders; larger groups keep a compact per-element representation
+with the same interface.
+
+Besides scalar `mul` and `inv`, every substrate answers in whole arrays:
+`column(j)` is the right-multiplication column i -> i*j (restricted to the
+indexes `at` when given) and `inverses()` is i -> i^-1. Closures, conjugacy
+classes and coset labelling run as frontier-array operations over these.
+Columns are computed when asked for and never cached per element; only the
+single inverse array is kept.
 """
 
 import random
@@ -19,18 +26,120 @@ DENSE_CAP = 2048
 _SPOT_CHECKS = 2000
 
 
+def _index_array(indices):
+    """Int array of the given element indexes (any iterable)."""
+    if isinstance(indices, np.ndarray):
+        return indices.astype(np.intp)
+    return np.fromiter(indices, dtype=np.intp)
+
+
+def _distinct(a):
+    """Sorted distinct values of an int array (plain `np.unique` would import
+    numpy.ma on first use)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
+def least_in_orbits(n, maps):
+    """Least element of each orbit of the permutations `maps` of 0..n-1.
+
+    Each pass hooks, across every edge i -> m[i], the label of either end to
+    the smaller label of the two, then follows labels to their fixed points
+    (pointer jumping). Labels stay elements of their orbit and a pass that
+    changes nothing leaves them constant on orbits, so the fixed point is the
+    least. The minimum spreads both ways along a map, so a long cycle takes a
+    few passes, not one per element.
+    """
+    least = np.arange(n)
+    while maps:
+        before = least.copy()
+        for m in maps:
+            a, b = least.copy(), least[m]
+            np.minimum.at(least, a, b)
+            np.minimum.at(least, b, a)
+        jumped = least[least]
+        while not np.array_equal(jumped, least):
+            least, jumped = jumped, jumped[jumped]
+        if np.array_equal(least, before):
+            break
+    return least
+
+
+class Closure:
+    """The subgroup generated by a growing list of elements, as a mask.
+
+    It grows by breadth-first right products: each level multiplies the
+    frontier by every generator through `column(g, at=frontier)`. A
+    generator already inside adds nothing and is not kept. With a cap the
+    growth stops, and `add` returns False, once it adds elements past the cap.
+    """
+
+    def __init__(self, G, cap=None):
+        self.G = G
+        self.cap = cap
+        self.mask = np.zeros(G.n, dtype=bool)
+        self.mask[G.identity_index] = True
+        self.size = 1
+        self.gens = []
+        self.exceeded = False
+
+    def add(self, g):
+        if self.exceeded:
+            return False
+        if self.mask[g]:
+            return True
+        self.gens.append(g)
+        # the old elements are closed under the old generators
+        return self._spread(np.flatnonzero(self.mask), [g])
+
+    def _spread(self, frontier, gens):
+        G, mask = self.G, self.mask
+        while frontier.size:
+            found = [G.column(g, at=frontier) for g in gens]
+            cand = found[0] if len(found) == 1 else np.concatenate(found)
+            cand = _distinct(cand[~mask[cand]])
+            if not cand.size:
+                break
+            mask[cand] = True
+            self.size += cand.size
+            if self.cap is not None and self.size > self.cap:
+                self.exceeded = True
+                return False
+            frontier, gens = cand, self.gens
+        return True
+
+
 class IndexedGroup:
     """Common interface: elements are integers 0..n-1."""
 
     n = 0
     identity_index = 0
     generator_indices = ()
+    _inverse_array = None
 
     def mul(self, i, j):
         raise NotImplementedError
 
     def inv(self, i):
         raise NotImplementedError
+
+    def column(self, j, at=None):
+        """Right products i*j for every i (or every i in `at`), as an array."""
+        raise NotImplementedError
+
+    def inverses(self):
+        """The array i -> i^-1, computed once."""
+        if self._inverse_array is None:
+            self._inverse_array = self._compute_inverses()
+        return self._inverse_array
+
+    def _compute_inverses(self):
+        raise NotImplementedError
+
+    def conjugates(self, xs, g):
+        """g^-1 x g for every x in the index array `xs`."""
+        inv = self.inverses()
+        return self.column(g, at=inv[self.column(g, at=inv[xs])])
 
     # Handle protocol shared with PermGroup, used by word evaluation.
     def identity(self):
@@ -55,30 +164,15 @@ class IndexedGroup:
                 raise RuntimeError("order computation exceeded group order")
         return k
 
-    def conjugate(self, i, g):
-        return self.mul(self.mul(self.inv(g), i), g)
-
     def label(self, i):
         return str(i)
 
     def _find_generators(self):
         """Greedy generating set by ascending element index."""
-        gens = []
-        reached = {self.identity_index}
-        while len(reached) < self.n:
-            gens.append(min(i for i in range(self.n) if i not in reached))
-            reached = {self.identity_index}
-            frontier = [self.identity_index]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for g in gens:
-                        y = self.mul(x, g)
-                        if y not in reached:
-                            reached.add(y)
-                            new.append(y)
-                frontier = new
-        return tuple(gens)
+        closure = Closure(self)
+        while closure.size < self.n:
+            closure.add(int(np.argmin(closure.mask)))
+        return tuple(closure.gens)
 
 
 class TableGroup(IndexedGroup):
@@ -93,22 +187,26 @@ class TableGroup(IndexedGroup):
         arr = np.asarray(table, dtype=np.int64)
         if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
             raise ValueError("table must be n x n with entries in 0..n-1")
-        full = list(range(n))
-        for i in range(n):
-            if sorted(arr[i]) != full or sorted(arr[:, i]) != full:
-                raise ValueError("row/column %d is not a permutation" % i)
+        full = np.arange(n)
+        in_row = np.zeros((n, n), dtype=bool)
+        in_row[full[:, None], arr] = True
+        in_col = np.zeros((n, n), dtype=bool)
+        in_col[arr, full] = True
+        bad = np.flatnonzero(~(in_row.all(axis=1) & in_col.all(axis=0)))
+        if bad.size:
+            raise ValueError("row/column %d is not a permutation" % bad[0])
         self.n = n
         self.table = arr.astype(np.int32)
-        ident = [i for i in range(n) if all(arr[i][j] == j for j in range(n))]
+        ident = np.flatnonzero((arr == full).all(axis=1))
         if len(ident) != 1:
             raise ValueError("table has no two-sided identity")
-        self.identity_index = ident[0]
-        self._inv = np.empty(n, dtype=np.int32)
-        for i in range(n):
-            hits = np.nonzero(arr[i] == self.identity_index)[0]
-            if len(hits) != 1 or arr[hits[0]][i] != self.identity_index:
-                raise ValueError("element %d has no two-sided inverse" % i)
-            self._inv[i] = hits[0]
+        e = self.identity_index = int(ident[0])
+        # each row is a permutation, so it holds the identity exactly once
+        inv = np.argmax(arr == e, axis=1)
+        bad = np.flatnonzero(arr[inv, full] != e)
+        if bad.size:
+            raise ValueError("element %d has no two-sided inverse" % bad[0])
+        self._inverse_array = inv.astype(np.intp)
         self._check_associativity(rng_seed)
         self.generator_indices = self._find_generators()
 
@@ -129,49 +227,89 @@ class TableGroup(IndexedGroup):
         return int(self.table[i, j])
 
     def inv(self, i):
-        return int(self._inv[i])
+        return int(self._inverse_array[i])
+
+    def column(self, j, at=None):
+        col = self.table[:, j] if at is None else self.table[at, j]
+        return col.astype(np.intp)
 
 
 class PermIndexedGroup(IndexedGroup):
-    """All elements of a permutation group, indexed in lexicographic order."""
+    """All elements of a permutation group, indexed in lexicographic order.
+
+    Elements are enumerated as products of the stabilizer chain's coset
+    representatives, one gather per chain level. Each row's bytes form its
+    key (values are non-negative and, past degree 127, stored big endian),
+    so byte order is lexicographic row order and a lookup is one
+    `searchsorted` on the sorted keys.
+    """
 
     def __init__(self, group, cap=CAYLEY_CAP):
         n = group.order()
         if n > cap:
             raise CapExceeded("order %d exceeds cap %d" % (n, cap))
-        elems = sorted(p.images for p in group.elements(cap=cap))
         self.n = n
-        self.degree = group.degree
-        dtype = np.int8 if group.degree <= 127 else np.int16
-        self.rows = np.array(elems, dtype=dtype)
-        self._index = {bytes(self.rows[i].tobytes()): i for i in range(n)}
-        self.identity_index = self.index_of(Permutation.identity(group.degree))
-        self._inv_cache = np.full(n, -1, dtype=np.int64)
+        self.degree = deg = group.degree
+        self._row_dtype = dtype = np.dtype(np.int8 if deg <= 127 else ">i2")
+        self._key_dtype = np.dtype((np.void, deg * dtype.itemsize))
+        # every element is u_last * ... * u_1 * u_0, one coset representative
+        # per level, the deepest applied first (x*y is y after x: rows u[r])
+        rows = np.arange(deg).astype(dtype)[None, :]
+        for level in reversed(group._chain()):
+            reps = np.array([u.images for u in level.transversal.values()], dtype=dtype)
+            rows = reps[:, rows].reshape(-1, deg)
+        keys = self._keys(rows)
+        order = np.argsort(keys)
+        self.rows = rows[order]
+        self._sorted_keys = keys[order]
+        found = 1 + np.count_nonzero(self._sorted_keys[1:] != self._sorted_keys[:-1])
+        if found != n:
+            raise RuntimeError("enumeration found %d elements, chain says %d" % (found, n))
+        self.identity_index = 0
         self.source = group
         self.generator_indices = tuple(self.index_of(g) for g in group.generators)
 
+    def _keys(self, rows):
+        """One key per row of a 2-D array: the row's bytes."""
+        return np.ascontiguousarray(rows, dtype=self._row_dtype).view(self._key_dtype)[:, 0]
+
+    def _lookup(self, rows):
+        """Indexes of rows known to be group elements."""
+        return self._sorted_keys.searchsorted(self._keys(rows))
+
+    def index_of_rows(self, rows):
+        """Indexes of the given image rows; KeyError if one is not an element."""
+        rows = np.asarray(rows, dtype=self.rows.dtype)
+        if rows.ndim != 2 or rows.shape[1] != self.degree:
+            raise KeyError("rows of degree %d expected" % self.degree)
+        pos = np.minimum(self._lookup(rows), self.n - 1)
+        missing = np.flatnonzero((self.rows[pos] != rows).any(axis=1))
+        if missing.size:
+            raise KeyError(tuple(int(p) for p in rows[missing[0]]))
+        return pos
+
     def index_of(self, perm):
-        key = np.asarray(perm.images, dtype=self.rows.dtype).tobytes()
-        return self._index[key]
+        return int(self.index_of_rows([perm.images])[0])
 
     def index_of_row(self, row):
-        return self._index[row.tobytes()]
+        return int(self.index_of_rows([row])[0])
 
     def perm_of(self, i):
         return Permutation(int(p) for p in self.rows[i])
 
     def mul(self, i, j):
-        row = self.rows[j][self.rows[i]]
-        return self._index[row.tobytes()]
+        row = self.rows[j].take(self.rows[i])
+        return int(self._sorted_keys.searchsorted(row.view(self._key_dtype))[0])
 
     def inv(self, i):
-        c = self._inv_cache[i]
-        if c >= 0:
-            return int(c)
-        row = np.argsort(self.rows[i]).astype(self.rows.dtype)
-        r = self._index[row.tobytes()]
-        self._inv_cache[i] = r
-        return r
+        return int(self.inverses()[i])
+
+    def column(self, j, at=None):
+        rows = self.rows if at is None else self.rows[at]
+        return self._lookup(self.rows[j][rows])
+
+    def _compute_inverses(self):
+        return self._lookup(np.argsort(self.rows, axis=1).astype(self.rows.dtype))
 
     def order_of(self, i):
         return self.perm_of(i).order()
@@ -185,83 +323,101 @@ class SubgroupView(IndexedGroup):
 
     def __init__(self, parent, global_indices, generator_globals=()):
         self.parent = parent
-        self.globals = tuple(sorted(global_indices))
+        self.globals = np.sort(_index_array(global_indices))
         self.n = len(self.globals)
-        self._local = {g: i for i, g in enumerate(self.globals)}
-        self.identity_index = self._local[parent.identity_index]
-        gens = [self._local[g] for g in generator_globals if g != parent.identity_index]
+        self._local = np.full(parent.n, -1, dtype=np.intp)
+        self._local[self.globals] = np.arange(self.n)
+        self.identity_index = self.to_local(parent.identity_index)
+        gens = [self.to_local(g) for g in generator_globals if g != parent.identity_index]
         self.generator_indices = tuple(gens) or self._find_generators()
 
     def to_local(self, g):
-        return self._local[g]
+        """Local index of a parent element, or array of them; KeyError outside."""
+        i = self._local[g]
+        if np.any(i < 0):
+            raise KeyError(g)
+        return i if isinstance(i, np.ndarray) else int(i)
 
     def mul(self, i, j):
-        return self._local[self.parent.mul(self.globals[i], self.globals[j])]
+        return int(self._local[self.parent.mul(int(self.globals[i]), int(self.globals[j]))])
 
     def inv(self, i):
-        return self._local[self.parent.inv(self.globals[i])]
+        return int(self._local[self.parent.inv(int(self.globals[i]))])
+
+    def column(self, j, at=None):
+        at = self.globals if at is None else self.globals[at]
+        return self._local[self.parent.column(int(self.globals[j]), at=at)]
+
+    def _compute_inverses(self):
+        return self._local[self.parent.inverses()[self.globals]]
 
     def order_of(self, i):
-        return self.parent.order_of(self.globals[i])
+        return self.parent.order_of(int(self.globals[i]))
 
     def label(self, i):
-        return self.parent.label(self.globals[i])
+        return self.parent.label(int(self.globals[i]))
 
 
 class QuotientGroup(IndexedGroup):
-    """Quotient by a normal subgroup, elements labeled by coset of min index."""
+    """Quotient by a normal subgroup, elements labeled by coset of min index.
+
+    Coset ids follow the cosets' least elements in ascending order, and
+    each coset's representative is its least element.
+    """
 
     def __init__(self, parent, normal_indices):
-        normal = sorted(set(normal_indices))
-        if parent.identity_index not in normal:
+        normal = _distinct(_index_array(normal_indices))
+        e = parent.identity_index
+        in_normal = np.zeros(parent.n, dtype=bool)
+        in_normal[normal] = True
+        if not in_normal[e]:
             raise ValueError("normal subgroup must contain the identity")
         if parent.order() % len(normal):
             raise ValueError("subgroup size does not divide the group order")
         self.parent = parent
-        labels = np.full(parent.n, -1, dtype=np.int64)
-        reps = []
-        for i in range(parent.n):
-            if labels[i] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(i)
-            for s in normal:
-                labels[parent.mul(s, i)] = cid
-        self.labels = labels
-        self.reps = reps
+        # greedy generators of the subgroup, by ascending index
+        closure = Closure(parent, cap=len(normal))
+        while closure.size < len(normal):
+            closure.add(int(normal[np.argmin(closure.mask[normal])]))
+            if (closure.mask & ~in_normal).any():
+                raise ValueError("indices are not closed under multiplication")
+        # least element of each coset iN (= Ni when N is normal)
+        least = least_in_orbits(parent.n, [parent.column(t) for t in closure.gens])
+        reps, labels = np.unique(least, return_inverse=True)
+        self.labels = labels.astype(np.intp)
+        self.reps = reps.astype(np.intp)
         self.n = len(reps)
-        if self.n * len(normal) != parent.n:
-            raise ValueError("cosets do not partition the group")
-        ident_cid = int(labels[parent.identity_index])
-        if any(int(labels[s]) != ident_cid for s in normal):
-            raise ValueError("indices are not closed under multiplication")
         # Conjugation-invariance under a generating set implies normality.
-        normal_set = frozenset(normal)
         for g in parent.generator_indices:
-            ginv = parent.inv(g)
-            for s in normal:
-                if parent.mul(parent.mul(g, s), ginv) not in normal_set:
-                    raise ValueError("subgroup is not normal")
-        self.identity_index = int(labels[parent.identity_index])
+            if not in_normal[parent.conjugates(normal, g)].all():
+                raise ValueError("subgroup is not normal")
+        self.identity_index = int(self.labels[e])
         self.generator_indices = tuple(sorted(
-            {int(labels[g]) for g in parent.generator_indices}
+            {int(self.labels[g]) for g in parent.generator_indices}
             - {self.identity_index})) or self._find_generators()
 
     def mul(self, i, j):
-        return int(self.labels[self.parent.mul(self.reps[i], self.reps[j])])
+        return int(self.labels[self.parent.mul(int(self.reps[i]), int(self.reps[j]))])
 
     def inv(self, i):
-        return int(self.labels[self.parent.inv(self.reps[i])])
+        return int(self.labels[self.parent.inv(int(self.reps[i]))])
+
+    def column(self, j, at=None):
+        at = self.reps if at is None else self.reps[at]
+        return self.labels[self.parent.column(int(self.reps[j]), at=at)]
+
+    def _compute_inverses(self):
+        return self.labels[self.parent.inverses()[self.reps]]
 
     def coset_of(self, parent_index):
         return int(self.labels[parent_index])
 
     def preimage(self, coset_ids):
-        wanted = set(coset_ids)
-        return frozenset(i for i in range(self.parent.n) if int(self.labels[i]) in wanted)
+        wanted = np.fromiter(coset_ids, dtype=np.intp)
+        return frozenset(np.flatnonzero(np.isin(self.labels, wanted)).tolist())
 
     def label(self, i):
-        return "[%s]" % self.parent.label(self.reps[i])
+        return "[%s]" % self.parent.label(int(self.reps[i]))
 
 
 class PairGroup(IndexedGroup):
@@ -276,6 +432,8 @@ class PairGroup(IndexedGroup):
             raise CapExceeded("product order %d exceeds cap" % (left.n * right.n))
         self.left, self.right = left, right
         self.action = action or (lambda h, x: x)
+        self._direct = action is None
+        self._acted = None
         self.n = left.n * right.n
         self.identity_index = right.identity_index * left.n + left.identity_index
         gens = [right.identity_index * left.n + g for g in left.generator_indices]
@@ -317,9 +475,45 @@ class PairGroup(IndexedGroup):
         hinv = self.right.inv(h1)
         return self.join(self.action(hinv, self.left.inv(n1)), hinv)
 
+    def column(self, j, at=None):
+        at = np.arange(self.n) if at is None else np.asarray(at, dtype=np.intp)
+        n2, h2 = self.split(j)
+        n1, h1 = self.split(at)
+        if self._direct:
+            npart = self.left.column(n2, at=n1)
+        else:
+            npart = _products(self.left, n1, self._action_table()[h1, n2])
+        return self.join(npart, self.right.column(h2, at=h1))
+
+    def _compute_inverses(self):
+        n1, h1 = self.split(np.arange(self.n))
+        hinv = self.right.inverses()[h1]
+        ninv = self.left.inverses()[n1]
+        if not self._direct:
+            ninv = self._action_table()[hinv, ninv]
+        return self.join(ninv, hinv)
+
+    def _action_table(self):
+        """action(h, x) for every h and x, as one array computed once."""
+        if self._acted is None:
+            self._acted = np.array([[self.action(h, x) for x in range(self.left.n)]
+                                    for h in range(self.right.n)], dtype=np.intp)
+        return self._acted
+
     def label(self, i):
         n1, h1 = self.split(i)
         return "(%s, %s)" % (self.left.label(n1), self.right.label(h1))
+
+
+def _products(G, xs, ys):
+    """x*y for paired index arrays xs and ys."""
+    if isinstance(G, TableGroup):
+        return G.table[xs, ys].astype(np.intp)
+    out = np.empty(len(xs), dtype=np.intp)
+    for y in _distinct(ys).tolist():
+        sel = ys == y
+        out[sel] = G.column(y, at=xs[sel])
+    return out
 
 
 def as_indexed(group, cap=CAYLEY_CAP):
@@ -332,11 +526,10 @@ def as_indexed(group, cap=CAYLEY_CAP):
 
 
 def densify(group, cap=DENSE_CAP):
-    """Materialize a TableGroup; only for small orders."""
+    """Materialize a TableGroup, one column per element; only for small orders."""
     g = as_indexed(group)
     if isinstance(g, TableGroup):
         return g
     if g.n > cap:
         raise CapExceeded("order %d too large for a dense table" % g.n)
-    table = [[g.mul(i, j) for j in range(g.n)] for i in range(g.n)]
-    return TableGroup(table)
+    return TableGroup(np.stack([g.column(j) for j in range(g.n)], axis=1))

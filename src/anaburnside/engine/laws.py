@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import CapExceeded
 from ..words import Word, evaluate
-from .indexed import PermIndexedGroup, TableGroup, as_indexed, densify
+from .indexed import DENSE_CAP, PermIndexedGroup, TableGroup, as_indexed, densify
 from .perm import PermGroup
 from .structure import is_simple, subgroup_closure
 
@@ -50,16 +50,18 @@ def _power_rows(rows, e):
 
 
 def _power_indexes(G, e):
-    """Index map i -> i**e for a table-backed group."""
-    out = np.empty(G.n, dtype=np.int64)
-    for i in range(G.n):
-        x = G.identity_index
-        k = abs(e)
-        y = i if e >= 0 else G.inv(i)
-        for _ in range(k):
-            x = G.mul(x, y)
-        out[i] = x
-    return out
+    """Index map i -> i**e for a table-backed group, by square-and-multiply."""
+    table = G.table
+    base = np.arange(G.n) if e >= 0 else G.inverses()
+    result = np.full(G.n, G.identity_index, dtype=np.int64)
+    e = abs(e)
+    while e:
+        if e & 1:
+            result = table[result, base]
+        e >>= 1
+        if e:
+            base = table[base, base]
+    return result.astype(np.int64)
 
 
 def is_law(word, G, mode="exhaustive", samples=256, seed=DEFAULT_SEED,
@@ -80,7 +82,7 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=DEFAULT_SEED,
     Gi = as_indexed(G)
     if isinstance(Gi, PermIndexedGroup):
         return _is_law_perm(word, Gi)
-    if not isinstance(Gi, TableGroup) and Gi.n <= 2048:
+    if not isinstance(Gi, TableGroup) and Gi.n <= DENSE_CAP:
         Gi = densify(Gi)
     if isinstance(Gi, TableGroup):
         return _is_law_table(word, Gi)

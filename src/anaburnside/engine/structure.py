@@ -3,9 +3,11 @@
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..catalog import factorize, is_prime_power
 from ..errors import CapExceeded
-from .indexed import QuotientGroup, SubgroupView, as_indexed
+from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
 from .perm import PermGroup, Permutation
 
 LAMBDA_CERTIFY_CAP = 5_000
@@ -15,34 +17,43 @@ _LATTICE_CAP = 512
 
 # ---------------------------------------------------------------------------
 # index-level subgroup machinery
+#
+# Subgroups are boolean masks over the element indexes, grown as frontier
+# arrays over the substrate's columns; the public functions hand out sets.
+
+def _mask(G, indices):
+    mask = np.zeros(G.n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
+def _frozen(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _size(mask):
+    return int(np.count_nonzero(mask))
+
 
 def subgroup_closure(G, gens, cap=None):
     """Elements of <gens> by breadth-first products; None once past `cap`."""
-    e = G.identity_index
-    seen = {e}
-    frontier = [e]
-    gens = [g for g in gens if g != e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if cap is not None and len(seen) > cap:
-                        return None
-        frontier = new
-    return seen
+    closure = Closure(G, cap)
+    for g in gens:
+        if not closure.add(g):
+            return None
+    return set(np.flatnonzero(closure.mask).tolist())
 
 
 def normal_closure_indexed(G, seeds, cap=None, reject_supersets=(), conjugators=None):
     """Closure of the seeds under multiplication and conjugation by
     `conjugators` (default: the group's generators), with its generator list.
 
-    Returns (element set, generators) or None when the closure passes `cap`
-    or is seen to strictly contain a set from `reject_supersets` (used to
-    discard provably non-minimal candidates early).
+    Returns (element mask, generators) or None when the closure passes `cap`
+    or is seen to strictly contain a mask from `reject_supersets` (used to
+    discard provably non-minimal candidates early). Each round appends, in
+    order, the conjugates g^-1 h g (h-major) that lie outside the closure;
+    only the generators appended in the round before are conjugated, since
+    the conjugates of older ones already lie inside.
     """
     if conjugators is None:
         conjugators = G.generator_indices
@@ -51,47 +62,36 @@ def normal_closure_indexed(G, seeds, cap=None, reject_supersets=(), conjugators=
     for s in seeds:
         if s != e and s not in gens:
             gens.append(s)
-    if not gens:
-        return {e}, ()
+    closure = Closure(G, cap)
+    fresh = gens
     while True:
-        S = subgroup_closure(G, gens, cap=cap)
-        if S is None:
-            return None
-        for other in reject_supersets:
-            if len(S) > len(other) and other <= S:
+        for g in fresh:
+            if not closure.add(g):
                 return None
-        added = False
-        for h in list(gens):
-            for g in conjugators:
-                c = G.conjugate(h, g)
-                if c not in S:
-                    gens.append(c)
-                    added = True
-        if not added:
+        S = closure.mask
+        for other in reject_supersets:
+            if closure.size > _size(other) and not (other & ~S).any():
+                return None
+        if not fresh or not len(conjugators):
             return S, tuple(gens)
+        h = np.array(fresh, dtype=np.intp)
+        conj = np.stack([G.conjugates(h, g) for g in conjugators], axis=1).ravel()
+        fresh = conj[~S[conj]].tolist()
+        gens.extend(fresh)
+
+
+def _class_least(G):
+    """Least element of every element's conjugacy class."""
+    everything = np.arange(G.n)
+    return least_in_orbits(G.n, [G.conjugates(everything, g) for g in G.generator_indices])
 
 
 def conjugacy_classes(G):
     """Conjugacy classes as sorted lists, ordered by least element."""
-    seen = set()
-    classes = []
-    for i in range(G.n):
-        if i in seen:
-            continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in G.generator_indices:
-                    y = G.conjugate(x, g)
-                    if y not in orbit:
-                        orbit.add(y)
-                        new.append(y)
-            frontier = new
-        seen |= orbit
-        classes.append(sorted(orbit))
-    return classes
+    least = _class_least(G)
+    order = np.argsort(least, kind="stable")
+    cuts = np.flatnonzero(np.diff(least[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts)]
 
 
 def _gens_commute(G, gens):
@@ -103,7 +103,7 @@ def _gens_commute(G, gens):
 
 
 def _minimal_normals_with_gens(G):
-    """Minimal normal subgroups as (element set, generators) pairs.
+    """Minimal normal subgroups as (element mask, generators) pairs.
 
     Every minimal normal subgroup is the normal closure of any of its
     prime-order elements, so closures of prime-order class representatives
@@ -115,34 +115,36 @@ def _minimal_normals_with_gens(G):
         return []
     e = G.identity_index
     reps = []
-    for cls in conjugacy_classes(G):
-        rep = cls[0]
+    least = _class_least(G)
+    classes = np.flatnonzero(least == np.arange(G.n))  # each class's least element
+    sizes = np.bincount(least)[classes]
+    for rep, size in zip(classes.tolist(), sizes.tolist()):
         if rep == e:
             continue
         order = G.order_of(rep)
         if factorize(order) == ((order, 1),):  # prime order
-            reps.append((len(cls), rep))
+            reps.append((size, rep))
     reps.sort()
     found = []
     for _, rep in reps:
-        if any(rep in S for S, _ in found):
+        if any(S[rep] for S, _ in found):
             continue
         result = normal_closure_indexed(
             G, [rep], cap=G.n // 2, reject_supersets=[S for S, _ in found])
         if result is not None:
-            found.append((result[0], result[1]))
+            found.append(result)
     minimal = []
     for S, gens in found:
-        if not any(len(T) < len(S) and T <= S for T, _ in found):
-            minimal.append((frozenset(S), gens))
+        if not any(_size(T) < _size(S) and not (T & ~S).any() for T, _ in found):
+            minimal.append((S, gens))
     if not minimal:
-        full = frozenset(range(G.n))
-        return [(full, tuple(G.generator_indices))]
+        return [(np.ones(G.n, dtype=bool), tuple(G.generator_indices))]
     out = []
     seen = set()
-    for S, gens in sorted(minimal, key=lambda p: (len(p[0]), sorted(p[0]))):
-        if S not in seen:
-            seen.add(S)
+    for S, gens in sorted(minimal, key=lambda p: (_size(p[0]), np.flatnonzero(p[0]).tolist())):
+        key = np.packbits(S).tobytes()
+        if key not in seen:
+            seen.add(key)
             out.append((S, gens))
     return out
 
@@ -150,30 +152,33 @@ def _minimal_normals_with_gens(G):
 def minimal_normal_subgroups(G):
     """Minimal normal subgroups as frozensets of element indexes."""
     Gi = as_indexed(G)
-    return [S for S, _ in _minimal_normals_with_gens(Gi)]
+    return [_frozen(S) for S, _ in _minimal_normals_with_gens(Gi)]
 
 
-def derived_series_sets(G):
-    """Descending derived series as element sets, stopping when stable."""
-    Gi = as_indexed(G)
-    series = [(set(range(Gi.n)), tuple(Gi.generator_indices))]
+def _derived_masks(Gi):
+    series = [(np.ones(Gi.n, dtype=bool), tuple(Gi.generator_indices))]
     while True:
         ambient = series[-1][1]
         comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
                  for i, a in enumerate(ambient) for b in ambient[i + 1:]]
         S, gens = normal_closure_indexed(Gi, comms, conjugators=ambient)
-        if len(S) == len(series[-1][0]):
+        if _size(S) == _size(series[-1][0]):
             break
         series.append((S, gens))
-        if len(S) == 1:
+        if _size(S) == 1:
             break
-    return [frozenset(S) for S, _ in series]
+    return [S for S, _ in series]
+
+
+def derived_series_sets(G):
+    """Descending derived series as element sets, stopping when stable."""
+    return [_frozen(S) for S in _derived_masks(as_indexed(G))]
 
 
 def is_solvable(G):
     if isinstance(G, PermGroup):
         return G.is_solvable()
-    return len(derived_series_sets(G)[-1]) == 1
+    return _size(_derived_masks(as_indexed(G))[-1]) == 1
 
 
 def derived_series(G):
@@ -185,35 +190,36 @@ def derived_series(G):
 
 def solvable_radical(G):
     """Largest solvable normal subgroup, as a frozenset of indexes."""
-    Gi = as_indexed(G)
-    return _radical_rec(Gi)
+    return _frozen(_radical_rec(as_indexed(G)))
 
 
 def _radical_rec(Q):
     if is_solvable(Q):
-        return frozenset(range(Q.n))
+        return np.ones(Q.n, dtype=bool)
     abelian = []
     for S, gens in _minimal_normals_with_gens(Q):
         if _gens_commute(Q, gens):
             abelian.append((S, gens))
     if not abelian:
-        return frozenset({Q.identity_index})
+        return _mask(Q, [Q.identity_index])
     seeds = [g for _, gens in abelian for g in gens]
     N, _ = normal_closure_indexed(Q, seeds)
-    QQ = QuotientGroup(Q, N)
-    upper = _radical_rec(QQ)
-    return frozenset(QQ.preimage(upper))
+    QQ = QuotientGroup(Q, np.flatnonzero(N))
+    return _radical_rec(QQ)[QQ.labels]
+
+
+def _socle(Gi):
+    mins = _minimal_normals_with_gens(Gi)
+    if not mins:
+        return _mask(Gi, [Gi.identity_index]), ()
+    seeds = [g for _, gens in mins for g in gens]
+    return normal_closure_indexed(Gi, seeds)
 
 
 def socle(G):
     """Product of the minimal normal subgroups, as (set, gens)."""
-    Gi = as_indexed(G)
-    mins = _minimal_normals_with_gens(Gi)
-    if not mins:
-        return frozenset({Gi.identity_index}), ()
-    seeds = [g for _, gens in mins for g in gens]
-    S, gens = normal_closure_indexed(Gi, seeds)
-    return frozenset(S), gens
+    S, gens = _socle(as_indexed(G))
+    return _frozen(S), gens
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +283,7 @@ def composition_report(G):
     Gi = as_indexed(G)
     factors = []
     series = [frozenset({Gi.identity_index})]
-
-    def lift_identity(s):
-        return frozenset(s)
-
-    _composition_rec(Gi, factors, series, lift_identity)
+    _composition_rec(Gi, factors, series, lambda mask: mask)
     order_product = 1
     for f in factors:
         order_product *= f.order
@@ -293,47 +295,40 @@ def composition_report(G):
 
 
 def _composition_rec(Q, factors, series, lift):
-    """Peel one minimal normal subgroup, then recurse on the quotient."""
+    """Peel one minimal normal subgroup, then recurse on the quotient.
+
+    `lift` maps an element mask of Q to one of the top group.
+    """
     if Q.n == 1:
         return
     mins = _minimal_normals_with_gens(Q)
     M, Mgens = mins[0]
+    size = _size(M)
     if _gens_commute(Q, Mgens):
         p = Q.order_of(Mgens[0])
-        current = {Q.identity_index}
-        cur_gens = []
-        ordered = sorted(M)
-        while len(current) < len(M):
-            x = min(i for i in ordered if i not in current)
-            cur_gens.append(x)
-            prev = len(current)
-            current = subgroup_closure(Q, cur_gens)
-            if len(current) != prev * p:
+        current = Closure(Q)
+        while current.size < size:
+            prev = current.size
+            current.add(int(np.flatnonzero(M & ~current.mask)[0]))
+            if current.size != prev * p:
                 raise RuntimeError("abelian layer step is not of prime index")
             factors.append(CompositionFactor("cyclic", p, "C_%d" % p))
-            series.append(lift(frozenset(current)))
+            series.append(_frozen(lift(current.mask)))
     else:
-        V = SubgroupView(Q, sorted(M), Mgens)
-        parts = _minimal_normals_with_gens(V)
-        current = {V.identity_index}
-        cur_gens = []
-        for S, Sgens in parts:
-            prev_size = len(current)
-            cur_gens.extend(Sgens)
-            current = subgroup_closure(V, cur_gens)
-            if len(current) != prev_size * len(S):
+        V = SubgroupView(Q, np.flatnonzero(M), Mgens)
+        current = Closure(V)
+        for S, Sgens in _minimal_normals_with_gens(V):
+            prev = current.size
+            for g in Sgens:
+                current.add(g)
+            if current.size != prev * _size(S):
                 raise RuntimeError("semisimple layer is not a direct product of its parts")
-            name = simple_name(len(S))
-            factors.append(CompositionFactor("nonabelian", len(S), name))
-            series.append(lift(frozenset(V.globals[i] for i in current)))
-        if len(current) != len(M):
+            factors.append(CompositionFactor("nonabelian", _size(S), simple_name(_size(S))))
+            series.append(_frozen(lift(_mask(Q, V.globals[current.mask]))))
+        if current.size != size:
             raise RuntimeError("simple parts do not fill the minimal normal subgroup")
-    QQ = QuotientGroup(Q, M)
-
-    def lift2(s):
-        return lift(QQ.preimage(s))
-
-    _composition_rec(QQ, factors, series, lift2)
+    QQ = QuotientGroup(Q, np.flatnonzero(M))
+    _composition_rec(QQ, factors, series, lambda mask: lift(mask[QQ.labels]))
 
 
 def is_simple(G):
@@ -342,7 +337,7 @@ def is_simple(G):
     if Gi.n == 1:
         return False
     mins = _minimal_normals_with_gens(Gi)
-    return len(mins) == 1 and len(mins[0][0]) == Gi.n
+    return len(mins) == 1 and _size(mins[0][0]) == Gi.n
 
 
 def is_anabelian(G):
@@ -360,9 +355,9 @@ def is_semisimple(G):
     for S, gens in mins:
         if _gens_commute(Gi, gens):
             return False
-        if not is_simple(SubgroupView(Gi, sorted(S), gens)):
+        if not is_simple(SubgroupView(Gi, np.flatnonzero(S), gens)):
             return False
-        product *= len(S)
+        product *= _size(S)
     if product != Gi.n:
         return False
     return True
@@ -427,13 +422,13 @@ def _lambda_rec(Q):
         return 0, []
     R = _radical_rec(Q)
     factors = []
-    if len(R) > 1:
-        factors.append(LambdaFactor("solvable radical", len(R), "solvable", False,
+    if _size(R) > 1:
+        factors.append(LambdaFactor("solvable radical", _size(R), "solvable", False,
                                     "largest solvable normal subgroup"))
-    QR = QuotientGroup(Q, R)
-    soc, _ = socle(QR)
-    layer = QuotientGroup(QR, soc)
-    factors.append(LambdaFactor("semisimple socle layer", len(soc), "semisimple", True,
+    QR = QuotientGroup(Q, np.flatnonzero(R))
+    soc, _ = _socle(QR)
+    layer = QuotientGroup(QR, np.flatnonzero(soc))
+    factors.append(LambdaFactor("semisimple socle layer", _size(soc), "semisimple", True,
                                 "product of nonabelian minimal normal subgroups"))
     upper_value, upper_factors = _lambda_rec(layer)
     return 1 + upper_value, factors + upper_factors
@@ -441,30 +436,29 @@ def _lambda_rec(Q):
 
 def _lambda_exhaustive(G):
     """Shortest alternating series over the full normal subgroup lattice."""
-    normals = _all_normal_subgroups(G)
-    order = sorted(normals, key=lambda s: (len(s), sorted(s)))
-    full = frozenset(range(G.n))
-    trivial = frozenset({G.identity_index})
-    best = {trivial: 0}
-    for M in order:
-        for N in order:
-            if len(N) >= len(M) or N not in best or not N <= M:
+    order = sorted(_all_normal_subgroups(G),
+                   key=lambda s: (_size(s), np.flatnonzero(s).tolist()))
+    sizes = [_size(s) for s in order]
+    best = {0: 0}  # by position in `order`; the trivial subgroup comes first
+    for m, M in enumerate(order):
+        for k, N in enumerate(order):
+            if sizes[k] >= sizes[m] or k not in best or (N & ~M).any():
                 continue
             w = _factor_weight(G, M, N)
             if w is None:
                 continue
-            cand = best[N] + w
-            if cand < best.get(M, 1 << 30):
-                best[M] = cand
-    if full not in best:
+            cand = best[k] + w
+            if cand < best.get(m, 1 << 30):
+                best[m] = cand
+    full = len(order) - 1
+    if sizes[full] != G.n or full not in best:
         raise RuntimeError("no alternating series found; lattice incomplete")
     return best[full]
 
 
 def _factor_weight(G, M, N):
-    V = SubgroupView(G, sorted(M))
-    Nloc = [V.to_local(i) for i in N]
-    Q = QuotientGroup(V, Nloc)
+    V = SubgroupView(G, np.flatnonzero(M))
+    Q = QuotientGroup(V, V.to_local(np.flatnonzero(N)))
     if is_solvable(Q):
         return 0
     if is_semisimple(Q):
@@ -590,8 +584,7 @@ def verify_series_lambda(G, descriptors):
             cert = "factor is the block-action image; " + cert
         elif hi.order() <= SEMISIMPLE_INDEX_CAP:
             Hi = as_indexed(hi)
-            lo_set = {Hi.index_of(p) for p in lo.elements()}
-            Q = QuotientGroup(Hi, lo_set)
+            Q = QuotientGroup(Hi, Hi.index_of_rows(as_indexed(lo).rows))
             ok, cert = (True, "element-level quotient check") if is_semisimple(Q) \
                 else (False, "element-level quotient check failed")
         else:
@@ -605,34 +598,33 @@ def verify_series_lambda(G, descriptors):
 
 
 def _all_normal_subgroups(G):
-    """Every normal subgroup: class closures, closed under pairwise join."""
-    trivial = frozenset({G.identity_index})
-    full = frozenset(range(G.n))
-    closures = {trivial, full}
-    gens_of = {trivial: (), full: tuple(G.generator_indices)}
-    for cls in conjugacy_classes(G):
-        rep = cls[0]
-        if rep == G.identity_index:
-            continue
-        S, gens = normal_closure_indexed(G, [rep])
-        fs = frozenset(S)
-        closures.add(fs)
-        gens_of.setdefault(fs, gens)
-    frontier = list(closures)
+    """Every normal subgroup, as masks: class closures, closed under pairwise join."""
+    closures = {}  # packed mask -> (mask, generators), in order of discovery
+
+    def add(S, gens):
+        key = np.packbits(S).tobytes()
+        if key in closures:
+            return False
+        closures[key] = (S, gens)
+        return True
+
+    add(_mask(G, [G.identity_index]), ())
+    add(np.ones(G.n, dtype=bool), tuple(G.generator_indices))
+    least = _class_least(G)
+    for rep in np.flatnonzero(least == np.arange(G.n)).tolist():
+        if rep != G.identity_index:
+            add(*normal_closure_indexed(G, [rep]))
+    frontier = list(closures.values())
     while frontier:
         if len(closures) > _LATTICE_CAP:
             raise CapExceeded("normal subgroup lattice exceeds %d" % _LATTICE_CAP)
         new = []
-        for A in frontier:
-            for B in list(closures):
-                if A <= B or B <= A:
+        for A, gens_a in frontier:
+            for B, gens_b in list(closures.values()):
+                if not (A & ~B).any() or not (B & ~A).any():
                     continue
-                seeds = list(gens_of[A]) + list(gens_of[B])
-                S, gens = normal_closure_indexed(G, seeds)
-                fs = frozenset(S)
-                if fs not in closures:
-                    closures.add(fs)
-                    gens_of[fs] = gens
-                    new.append(fs)
+                S, gens = normal_closure_indexed(G, list(gens_a) + list(gens_b))
+                if add(S, gens):
+                    new.append((S, gens))
         frontier = new
-    return closures
+    return [S for S, _ in closures.values()]

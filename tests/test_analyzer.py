@@ -165,6 +165,25 @@ def test_disjoint_commutator_one_trivial_factor_keeps_witnesses():
     assert r.witnesses == ()
 
 
+def test_disjoint_commutator_both_factors_keep_witnesses():
+    # every group satisfying x^30 (or y^60) satisfies [x^30, y^60]
+    r = analyze(parse_word("[x^30,y^60]"), d=2)
+    assert [s.verdict for s in r.sub_reports] == [VERDICT_WITNESS, VERDICT_WITNESS]
+    assert r.verdict == VERDICT_WITNESS
+    assert [w.name for w in r.witnesses] == [
+        "Alt(5)", "PSL(2,4)", "PSL(2,5)", "Alt(6)", "PSL(2,9)"]
+    assert len({w.descriptor for w in r.witnesses}) == len(r.witnesses)
+    assert "each factor's witnesses" in r.conclusion
+    r = analyze(parse_word("[x^60,y^30]"), d=2)
+    assert [w.name for w in r.witnesses] == [
+        "Alt(5)", "Alt(6)", "PSL(2,4)", "PSL(2,5)", "PSL(2,9)"]
+    # one factor Unknown without witnesses: the other's still carry over
+    r = analyze(parse_word("[x^30,[y,z]]"), d=2)
+    assert [s.verdict for s in r.sub_reports] == [VERDICT_WITNESS, VERDICT_UNKNOWN]
+    assert r.verdict == VERDICT_WITNESS
+    assert [w.name for w in r.witnesses] == ["Alt(5)", "PSL(2,4)", "PSL(2,5)"]
+
+
 def test_disjoint_commutator_unknown_embeds():
     r = analyze(parse_word("[[x,y],[z,w]]"), d=2)
     assert r.verdict == VERDICT_UNKNOWN
