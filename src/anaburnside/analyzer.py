@@ -16,6 +16,7 @@ from .config import Config
 from .engine import alternating, is_law, psl2_group
 from .words import Word, neumann_exponent, parse_word, split_disjoint_commutator, to_string
 
+VERDICT_RANK = "TrivialByRank"
 VERDICT_FT = "TrivialByFeitThompson"
 VERDICT_BURNSIDE = "TrivialByBurnside"
 VERDICT_WITNESS = "NontrivialWitness"
@@ -137,7 +138,8 @@ def _search_witnesses(n: int, config: Config):
 def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
     """Decide what the word's exponent implies for anabelian quotients.
 
-    Odd exponent: finite quotients have odd order, hence are solvable by
+    Rank 1: one-generated groups are cyclic, so the quotient is trivial. Odd
+    exponent: finite quotients have odd order, hence are solvable by
     Feit-Thompson, so the anabelian quotient variety is trivial. Exponent
     2^a * p^b: solvable by Burnside's two-prime theorem, same conclusion.
     Otherwise a simple witness group satisfying x^n certifies a nontrivial
@@ -149,11 +151,12 @@ def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
         config = Config()
     if d < 1:
         raise ValueError("d must be positive")
-    notes = []
-    if d == 1:
-        notes.append("rank 1: one-generated groups are cyclic, so every "
-                     "anabelian quotient is trivial regardless of the word")
     bound = main_theorem_bound(w, d, config=config)
+    if d == 1:
+        return AnalysisReport(w, d, bound.params.length, "rank", VERDICT_RANK, bound=bound,
+                              notes=("rank 1: one-generated groups are cyclic, so every "
+                                     "anabelian quotient is trivial regardless of the word",))
+    notes = []
     n = neumann_exponent(w)
     if n == 0:
         notes.append("word lies in the derived subgroup; abelian quotients "
@@ -216,7 +219,7 @@ def analyze_disjoint_commutator(w: Word, d: int,
     sub1 = classify(w1, d, config)
     sub2 = classify(w2, d, config)
     bound = main_theorem_bound(w, d, config=config)
-    trivial = {VERDICT_FT, VERDICT_BURNSIDE}
+    trivial = {VERDICT_RANK, VERDICT_FT, VERDICT_BURNSIDE}
     verdict = VERDICT_UNKNOWN
     witnesses = ()
     if _is_single_variable_law(w2) or _is_single_variable_law(w1):

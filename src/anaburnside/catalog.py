@@ -8,6 +8,7 @@ satisfy a law of a given length.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -161,27 +162,21 @@ def family_ranks(family: str, max_rank: int) -> list:
     return list(range(_MIN_RANK[family], max_rank + 1))
 
 
-def admissible_q_values(family: str, limit: int) -> list:
-    """Admissible field sizes q for the family, ascending, up to limit inclusive."""
+def _admissible_qs(family: str):
+    """Admissible field sizes q for the family, ascending, without end."""
     if family not in _Q_KIND:
         raise ValueError("unknown family %r" % family)
     kind = _Q_KIND[family]
     if kind == "all":
-        return [q for q in range(2, limit + 1) if is_prime_power(q)]
-    if kind in ("odd2", "odd2_min8"):
-        start = 3 if kind == "odd2_min8" else 1
-        out = []
-        e = start
-        while (1 << e) <= limit:
-            out.append(1 << e)
-            e += 2
-        return out
-    out = []
-    q = 3
-    while q <= limit:
-        out.append(q)
-        q *= 9
-    return out
+        return filter(is_prime_power, itertools.count(2))
+    if kind == "odd3":
+        return (3 ** e for e in itertools.count(1, 2))
+    return (1 << e for e in itertools.count(3 if kind == "odd2_min8" else 1, 2))
+
+
+def admissible_q_values(family: str, limit: int) -> list:
+    """Admissible field sizes q for the family, ascending, up to limit inclusive."""
+    return list(itertools.takewhile(lambda q: q <= limit, _admissible_qs(family)))
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ def law_length_lower_bound(gid, c_lower: float = 1.0) -> int:
 
 def _max_rank_for_length(family: str, length: int, c_lower: float) -> int:
     """Largest rank whose cheapest admissible q still meets the length filter."""
-    q_min = admissible_q_values(family, 16)[0]
+    q_min = next(_admissible_qs(family))
     k = _MIN_RANK[family]
     last = k - 1
     # a(X).low is nondecreasing in k for every classical family, so stop at
@@ -315,24 +310,26 @@ def candidates_for_law_length(length: int, c_lower: float = 1.0, d: int = 1) -> 
         raise ValueError("law length must be positive")
     if d < 1:
         raise ValueError("d must be positive")
+    if c_lower <= 0:
+        raise ValueError("c_lower must be positive")
     out = []
     m = 5
     while law_length_lower_bound(AltId(m), c_lower) <= length:
         out.append(AltId(m))
         m += 1
-    # q <= (length/c_lower)^2 covers even the sqrt(q) Suzuki filter
-    q_cap = max(4, int(math.ceil((length / c_lower) ** 2)) + 1)
+    # floor(c*q^a) and floor(c*sqrt(q)) never decrease as q grows, so each
+    # (family, rank) walk stops at the first q whose bound exceeds the length
     for family in FAMILY_ORDER:
         if family in _FIXED_RANK:
             ranks = [_FIXED_RANK[family]]
         else:
             ranks = range(_MIN_RANK[family], _max_rank_for_length(family, length, c_lower) + 1)
-        qs = admissible_q_values(family, q_cap)
         for k in ranks:
-            for q in qs:
+            for q in _admissible_qs(family):
                 gid = LieId(family, k, q)
-                if law_length_lower_bound(gid, c_lower) <= length:
-                    out.append(gid)
+                if law_length_lower_bound(gid, c_lower) > length:
+                    break
+                out.append(gid)
     out.extend(SporadicId(i) for i in range(1, 27))
     return out
 

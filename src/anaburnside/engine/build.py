@@ -7,7 +7,7 @@ import re
 from ..catalog import factorize
 from ..errors import CapExceeded
 from .indexed import TableGroup
-from .perm import Permutation, PermGroup
+from .perm import DEGREE_CAP, Permutation, PermGroup
 
 ALT_SYM_CAP = 16
 PSL_Q_CAP = 32
@@ -90,10 +90,10 @@ class GaloisField:
 
 
 def cyclic(n):
-    """Cyclic group of order n, as permutations for n <= 64, else as a table."""
+    """Cyclic group of order n, as permutations up to the degree cap, else as a table."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n <= 64:
+    if n <= DEGREE_CAP:
         if n == 1:
             return PermGroup(1, [])
         return PermGroup(n, [Permutation([(i + 1) % n for i in range(n)])])
@@ -128,8 +128,8 @@ def dihedral(n):
     """Symmetries of the n-gon, order 2n, for n >= 3."""
     if n < 3:
         raise ValueError("dihedral requires n >= 3")
-    if n > 64:
-        raise CapExceeded("dihedral degree %d exceeds 64" % n)
+    if n > DEGREE_CAP:
+        raise CapExceeded("dihedral degree %d exceeds %d" % (n, DEGREE_CAP))
     rot = Permutation([(i + 1) % n for i in range(n)])
     ref = Permutation([(n - i) % n for i in range(n)])
     return PermGroup(n, [rot, ref])
@@ -176,8 +176,8 @@ def direct_product(groups):
     if not all(isinstance(g, PermGroup) for g in groups):
         raise ValueError("direct_product expects permutation groups")
     degree = sum(g.degree for g in groups)
-    if degree > 64:
-        raise CapExceeded("product degree %d exceeds 64" % degree)
+    if degree > DEGREE_CAP:
+        raise CapExceeded("product degree %d exceeds %d" % (degree, DEGREE_CAP))
     gens = []
     offset = 0
     for g in groups:
@@ -200,8 +200,8 @@ def wreath(inner, outer):
         raise ValueError("wreath requires a transitive outer group")
     d, b = inner.degree, outer.degree
     degree = d * b
-    if degree > 64:
-        raise CapExceeded("wreath degree %d exceeds 64" % degree)
+    if degree > DEGREE_CAP:
+        raise CapExceeded("wreath degree %d exceeds %d" % (degree, DEGREE_CAP))
     gens = []
     for p in inner.generators:
         imgs = list(range(degree))

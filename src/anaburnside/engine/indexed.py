@@ -13,17 +13,13 @@ Columns are computed when asked for and never cached per element; only the
 single inverse array is kept.
 """
 
-import random
-
 import numpy as np
 
 from ..errors import CapExceeded
-from .perm import Permutation, PermGroup
+from .perm import Permutation, PermGroup, row_keys
 
 CAYLEY_CAP = 100_000
-FULL_ASSOC_CAP = 512
 DENSE_CAP = 2048
-_SPOT_CHECKS = 2000
 
 
 def _index_array(indices):
@@ -178,7 +174,7 @@ class IndexedGroup:
 class TableGroup(IndexedGroup):
     """Explicit multiplication table, validated at construction."""
 
-    def __init__(self, table, rng_seed=20260816):
+    def __init__(self, table):
         n = len(table)
         if n < 1:
             raise ValueError("empty table")
@@ -207,21 +203,19 @@ class TableGroup(IndexedGroup):
         if bad.size:
             raise ValueError("element %d has no two-sided inverse" % bad[0])
         self._inverse_array = inv.astype(np.intp)
-        self._check_associativity(rng_seed)
         self.generator_indices = self._find_generators()
+        self._check_associativity()
 
-    def _check_associativity(self, rng_seed):
+    def _check_associativity(self):
+        """Light's test: (x*a)*y = x*(a*y) for all x, y and each generator a.
+        The a passing it are closed under products, as (x*ab)*y = xa*(b*y) =
+        x*(ab*y), and every element is a right product of generators."""
         t = self.table
-        if self.n <= FULL_ASSOC_CAP:
-            for a in range(self.n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise ValueError("table not associative at row %d" % a)
-            return
-        rng = random.Random(rng_seed)
-        for _ in range(_SPOT_CHECKS):
-            a, b, c = (rng.randrange(self.n) for _ in range(3))
-            if t[t[a, b], c] != t[a, t[b, c]]:
-                raise ValueError("table not associative at (%d,%d,%d)" % (a, b, c))
+        for a in self.generator_indices:
+            bad = np.argwhere(t[t[:, a]] != t[:, t[a]])
+            if bad.size:
+                x, y = bad[0]
+                raise ValueError("table not associative at (%d,%d,%d)" % (x, a, y))
 
     def mul(self, i, j):
         return int(self.table[i, j])
@@ -235,47 +229,23 @@ class TableGroup(IndexedGroup):
 
 
 class PermIndexedGroup(IndexedGroup):
-    """All elements of a permutation group, indexed in lexicographic order.
-
-    Elements are enumerated as products of the stabilizer chain's coset
-    representatives, one gather per chain level. Each row's bytes form its
-    key (values are non-negative and, past degree 127, stored big endian),
-    so byte order is lexicographic row order and a lookup is one
-    `searchsorted` on the sorted keys.
-    """
+    """The rows of `PermGroup.element_rows`, indexed in their lexicographic
+    order; a lookup is one `searchsorted` on the rows' bytes."""
 
     def __init__(self, group, cap=CAYLEY_CAP):
         n = group.order()
         if n > cap:
             raise CapExceeded("order %d exceeds cap %d" % (n, cap))
         self.n = n
-        self.degree = deg = group.degree
-        self._row_dtype = dtype = np.dtype(np.int8 if deg <= 127 else ">i2")
-        self._key_dtype = np.dtype((np.void, deg * dtype.itemsize))
-        # every element is u_last * ... * u_1 * u_0, one coset representative
-        # per level, the deepest applied first (x*y is y after x: rows u[r])
-        rows = np.arange(deg).astype(dtype)[None, :]
-        for level in reversed(group._chain()):
-            reps = np.array([u.images for u in level.transversal.values()], dtype=dtype)
-            rows = reps[:, rows].reshape(-1, deg)
-        keys = self._keys(rows)
-        order = np.argsort(keys)
-        self.rows = rows[order]
-        self._sorted_keys = keys[order]
-        found = 1 + np.count_nonzero(self._sorted_keys[1:] != self._sorted_keys[:-1])
-        if found != n:
-            raise RuntimeError("enumeration found %d elements, chain says %d" % (found, n))
+        self.degree = group.degree
+        self.rows = group.element_rows(cap=n)
+        self._sorted_keys = row_keys(self.rows)
         self.identity_index = 0
-        self.source = group
         self.generator_indices = tuple(self.index_of(g) for g in group.generators)
-
-    def _keys(self, rows):
-        """One key per row of a 2-D array: the row's bytes."""
-        return np.ascontiguousarray(rows, dtype=self._row_dtype).view(self._key_dtype)[:, 0]
 
     def _lookup(self, rows):
         """Indexes of rows known to be group elements."""
-        return self._sorted_keys.searchsorted(self._keys(rows))
+        return self._sorted_keys.searchsorted(row_keys(rows))
 
     def index_of_rows(self, rows):
         """Indexes of the given image rows; KeyError if one is not an element."""
@@ -299,7 +269,7 @@ class PermIndexedGroup(IndexedGroup):
 
     def mul(self, i, j):
         row = self.rows[j].take(self.rows[i])
-        return int(self._sorted_keys.searchsorted(row.view(self._key_dtype))[0])
+        return int(self._sorted_keys.searchsorted(row.view(self._sorted_keys.dtype))[0])
 
     def inv(self, i):
         return int(self.inverses()[i])
@@ -427,7 +397,7 @@ class PairGroup(IndexedGroup):
     Element index is h * N.n + n. A trivial action gives the direct product.
     """
 
-    def __init__(self, left, right, action=None, rng_seed=20260816):
+    def __init__(self, left, right, action=None):
         if left.n * right.n > CAYLEY_CAP:
             raise CapExceeded("product order %d exceeds cap" % (left.n * right.n))
         self.left, self.right = left, right
@@ -440,23 +410,26 @@ class PairGroup(IndexedGroup):
         gens += [h * left.n + left.identity_index for h in right.generator_indices]
         self.generator_indices = tuple(gens)
         if action is not None:
-            self._spot_check_action(rng_seed)
+            self._check_action()
 
-    def _spot_check_action(self, rng_seed):
-        rng = random.Random(rng_seed)
-        act, left, right = self.action, self.left, self.right
-        for _ in range(200):
-            h = rng.randrange(right.n)
-            a, b = rng.randrange(left.n), rng.randrange(left.n)
-            if act(h, left.mul(a, b)) != left.mul(act(h, a), act(h, b)):
+    def _check_action(self):
+        """Prove from generators that h -> A[h] = action(h, .) maps H into
+        Aut(N): A[e] = id and A[h*t] = A[h] o A[t] for each generator t of H,
+        and A[h][x*g] = A[h][x] * A[h][g] for each generator g of N. The t and
+        g passing are closed under products, as in Light's test."""
+        left, right = self.left, self.right
+        A = self._action_table()
+        if A.min() < 0 or A.max() >= left.n:
+            raise ValueError("action does not map N into itself")
+        if (A[:, left.identity_index] != left.identity_index).any():
+            raise ValueError("action does not fix the identity")
+        if (A[right.identity_index] != np.arange(left.n)).any() or any(
+                (A[right.column(t)] != A[:, A[t]]).any() for t in right.generator_indices):
+            raise ValueError("action is not a left H-action")
+        for g in left.generator_indices:
+            moved = _products(left, A.ravel(), np.repeat(A[:, g], left.n))
+            if (A[:, left.column(g)].ravel() != moved).any():
                 raise ValueError("action is not by homomorphisms")
-            if act(h, left.identity_index) != left.identity_index:
-                raise ValueError("action does not fix the identity")
-        for _ in range(200):
-            h1, h2 = rng.randrange(right.n), rng.randrange(right.n)
-            a = rng.randrange(left.n)
-            if act(right.mul(h1, h2), a) != act(h1, act(h2, a)):
-                raise ValueError("action is not a left H-action")
 
     def split(self, i):
         return i % self.left.n, i // self.left.n

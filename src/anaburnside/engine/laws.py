@@ -189,12 +189,7 @@ def group_exponent(G, cap=1_000_000):
     n = G.order()
     if n > cap:
         raise CapExceeded("order %d exceeds exponent enumeration cap %d" % (n, cap))
-    if isinstance(G, PermGroup):
-        exp = 1
-        for g in G.elements(cap=cap):
-            exp = math.lcm(exp, g.order())
-        return exp
-    Gi = as_indexed(G)
+    Gi = as_indexed(G, cap=cap)
     exp = 1
     for i in range(Gi.n):
         exp = math.lcm(exp, Gi.order_of(i))

@@ -3,9 +3,16 @@
 import math
 import random
 
+import numpy as np
+
 from ..errors import CapExceeded
 
 DEGREE_CAP = 64
+
+
+def row_keys(rows):
+    """One key per row of a 2-D array of `element_rows` rows: the row's bytes."""
+    return np.ascontiguousarray(rows).view((np.void, rows.shape[1] * rows.itemsize))[:, 0]
 
 
 class Permutation:
@@ -230,9 +237,6 @@ class PermGroup:
         residue, _ = self._strip(0, g)
         return residue
 
-    def base(self):
-        return [lv.point for lv in self._chain()]
-
     def order(self):
         n = 1
         for lv in self._chain():
@@ -261,26 +265,33 @@ class PermGroup:
 
     # -- element access --
 
-    def elements(self, cap=1_000_000):
+    def element_rows(self, cap=1_000_000):
+        """Every element's image row, in lexicographic order (identity first).
+
+        Each element is u_last * ... * u_1 * u_0, one coset representative
+        per chain level, the deepest applied first (x*y is y after x: rows
+        u[r]), so one gather per level lists every element once. Values are
+        non-negative and, past degree 127, big endian, so sorting the rows'
+        bytes sorts the rows.
+        """
         n = self.order()
         if n > cap:
             raise CapExceeded("order %d exceeds enumeration cap %d" % (n, cap))
-        result = [Permutation.identity(self.degree)]
-        seen = {result[0].images}
-        frontier = result
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y.images not in seen:
-                        seen.add(y.images)
-                        result.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(result) != n:
-            raise RuntimeError("enumeration found %d elements, chain says %d" % (len(result), n))
-        return result
+        deg = self.degree
+        dtype = np.dtype(np.int8 if deg <= 127 else ">i2")
+        rows = np.arange(deg).astype(dtype)[None, :]
+        for level in reversed(self._chain()):
+            reps = np.array([u.images for u in level.transversal.values()], dtype=dtype)
+            rows = reps[:, rows].reshape(-1, deg)
+        rows = rows[np.argsort(row_keys(rows))]
+        keys = row_keys(rows)
+        found = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+        if found != n:
+            raise RuntimeError("enumeration found %d elements, chain says %d" % (found, n))
+        return rows
+
+    def elements(self, cap=1_000_000):
+        return [Permutation(row) for row in self.element_rows(cap).tolist()]
 
     def random_element(self, rng=None):
         """Uniform sample: one transversal representative per level."""
@@ -403,7 +414,8 @@ class PermGroup:
     # -- normal structure on generators --
 
     def normal_closure(self, seed_perms):
-        """Smallest subgroup containing the seeds and normal in this group."""
+        """Smallest subgroup containing the seeds and normal in this group;
+        each conjugate not yet inside joins the one closure's chain."""
         closure = PermGroup(self.degree, [g for g in seed_perms if not g.is_identity()],
                             degree_cap=self.degree)
         pending = list(closure.generators)
@@ -412,8 +424,8 @@ class PermGroup:
             for g in self.generators:
                 c = g.inverse() * h * g
                 if not closure.contains(c):
-                    closure = PermGroup(self.degree, closure.generators + [c],
-                                        degree_cap=self.degree)
+                    closure.generators.append(c)
+                    closure._insert(c)
                     pending.append(c)
         return closure
 
@@ -435,9 +447,6 @@ class PermGroup:
             if nxt.order() == 1:
                 break
         return series
-
-    def is_trivial(self):
-        return self.order() == 1
 
     def is_perfect(self):
         return self.derived_subgroup().order() == self.order()

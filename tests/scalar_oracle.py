@@ -6,6 +6,7 @@ the oracle for the differential tests: every product goes through scalar
 """
 
 from anaburnside.catalog import factorize
+from anaburnside.engine import PermGroup, Permutation
 
 
 def column(G, j):
@@ -155,6 +156,13 @@ def minimal_normal_subgroups(G):
     return out
 
 
+def is_associative(table):
+    """(x*y)*z == x*(y*z) for every triple of a table."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
 def table_error(table):
     """The ValueError message of the table checks before associativity, or
     None when the table passes them."""
@@ -183,3 +191,39 @@ def power_indexes(G, e):
             x = G.mul(x, y)
         out.append(x)
     return out
+
+
+def perm_elements(group):
+    """Breadth-first enumeration of a permutation group by right products
+    with its generators, identity first."""
+    result = [Permutation.identity(group.degree)]
+    seen = {result[0].images}
+    frontier = result
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in group.generators:
+                y = x * g
+                if y.images not in seen:
+                    seen.add(y.images)
+                    result.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return result
+
+
+def perm_normal_closure(group, seed_perms):
+    """Normal closure on generators, rebuilding a group and its stabilizer
+    chain from scratch for every conjugate it adds."""
+    closure = PermGroup(group.degree, [g for g in seed_perms if not g.is_identity()],
+                        degree_cap=group.degree)
+    pending = list(closure.generators)
+    while pending:
+        h = pending.pop()
+        for g in group.generators:
+            c = g.inverse() * h * g
+            if not closure.contains(c):
+                closure = PermGroup(group.degree, closure.generators + [c],
+                                    degree_cap=group.degree)
+                pending.append(c)
+    return closure

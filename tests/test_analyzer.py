@@ -128,6 +128,14 @@ def test_rank_one_note():
     assert any("rank 1" in n for n in r.notes)
 
 
+def test_rank_one_is_trivial_whatever_the_exponent():
+    for text in ("x^30", "x^7", "x^12", "x^60"):
+        r = classify(parse_word(text), d=1)
+        assert r.verdict == "TrivialByRank", text
+        assert r.witnesses == ()
+        assert r.bound is not None and r.bound.params.d == 1
+
+
 def test_classify_rejects_bad_input():
     with pytest.raises(ValueError):
         classify(parse_word("x x^-1"), d=2)

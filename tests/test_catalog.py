@@ -3,10 +3,13 @@
 import json
 import math
 import os
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
+from anaburnside import catalog
 from anaburnside.catalog import (
     FAMILY_ORDER,
     AltId,
@@ -151,6 +154,76 @@ def test_candidates_monotone():
         cur = {str(g) for g in candidates_for_law_length(length)}
         assert prev <= cur
         prev = cur
+
+
+def _prime_powers(limit):
+    """Prime powers 2..limit, ascending, from a sieve."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    out = []
+    for p in range(2, limit + 1):
+        q = p
+        while sieve[p] and q <= limit:
+            out.append(q)
+            q *= p
+    return sorted(out)
+
+
+def _candidates_by_full_scan(lengths, c_lower):
+    """Candidate lists for each length, in exact arithmetic and without an
+    early stop: every admissible q up to ((max length + 1)/c_lower)^2, past
+    which even floor(c*sqrt(q)) exceeds every length, and every rank up to
+    20, where even q = 2 gives every family a bound of at least c*2^10, are
+    tested."""
+    c = Fraction(c_lower)
+    num, den = c.numerator, c.denominator
+    limit = math.floor(((max(lengths) + 1) / c) ** 2) + 1
+    all_qs = _prime_powers(limit)
+    qs_of = {"all": all_qs,
+             "odd2": [q for q in all_qs if q & (q - 1) == 0 and q.bit_length() % 2 == 0],
+             "odd3": [3 ** e for e in range(1, 40, 2) if 3 ** e <= limit]}
+    qs_of["odd2_min8"] = [q for q in qs_of["odd2"] if q >= 8]
+    huge = 10 ** 6
+    scans = []
+    for family in FAMILY_ORDER:
+        fixed = catalog._FIXED_RANK.get(family)
+        for k in [fixed] if fixed else range(catalog._MIN_RANK[family], 21):
+            qs = qs_of[catalog._Q_KIND[family]]
+            if family == "2B2":
+                bounds = [math.isqrt(num * num * q // (den * den)) for q in qs]
+            else:
+                a = a_value(family, k).low
+                bounds = [num * q ** a // den if q ** a <= huge else huge for q in qs]
+            scans.append((family, k, np.array(qs), np.array(bounds)))
+    out = {}
+    for length in lengths:
+        alts = [AltId(m) for m in range(5, 10 * length + 5) if num * m // den <= length]
+        lie = [LieId(family, k, int(q)) for family, k, qs, bounds in scans
+               for q in qs[bounds <= length]]
+        out[length] = alts + lie + [SporadicId(i) for i in range(1, 27)]
+    return out
+
+
+def test_candidates_match_full_scan():
+    cases = [(range(1, 151), 1.0), ((1, 2, 5, 30, 120), 0.5), ((1, 2, 5, 30, 120), 3.0)]
+    for lengths, c_lower in cases:
+        want = _candidates_by_full_scan(lengths, c_lower)
+        for length in lengths:
+            assert candidates_for_law_length(length, c_lower) == want[length], (length, c_lower)
+
+
+def test_candidates_keep_suzuki_groups_at_the_length():
+    # floor(sqrt(8)) = 2: a law of length 2 does not exclude 2B2(8)
+    assert LieId("2B2", 2, 8) in candidates_for_law_length(2)
+    assert LieId("2B2", 2, 32) in candidates_for_law_length(5)
+
+
+def test_candidates_reject_nonpositive_constant():
+    with pytest.raises(ValueError):
+        candidates_for_law_length(10, c_lower=0)
 
 
 def test_candidates_deterministic_order():

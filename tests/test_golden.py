@@ -43,6 +43,15 @@ COMMANDS = {
     "lawcheck_table_alt6": ["lawcheck", "[x,y]^60", "--group-file", TABLE],
     # a commutator with one trivial and one witness-bearing factor
     "analyze_x30_y4": ["analyze", "[x^30, y^4]"],
+    # every rank-1 anabelian quotient is trivial
+    "analyze_x30_rank1": ["analyze", "x^30", "--rank", "1"],
+    # verified series whose normal closures run on generators only
+    "lambda_wreath_a5_c2_series": ["lambda", "--group", "wreath(alternating(5),cyclic(2))",
+                                   "--series", "trivial,block_kernel:5,full"],
+    "lambda_wreath_a5_s3_series": ["lambda", "--group", "wreath(alternating(5),symmetric(3))",
+                                   "--series", "trivial,block_kernel:5,full"],
+    "lambda_wreath_a6_c2_series": ["lambda", "--group", "wreath(alternating(6),cyclic(2))",
+                                   "--series", "trivial,block_kernel:6,full"],
 }
 
 

@@ -4,10 +4,12 @@ import pytest
 
 from anaburnside.engine import (
     PairGroup,
+    PermGroup,
     PermIndexedGroup,
     QuotientGroup,
     SubgroupView,
     TableGroup,
+    Permutation,
     alternating,
     as_indexed,
     cyclic,
@@ -51,6 +53,22 @@ def test_table_group_rejects_bad_tables():
     ]
     with pytest.raises(ValueError):
         TableGroup(loop)
+    # C_2 x loop, element 2q + c: the first generator found, (1, e), is in
+    # the nucleus, so only the second generator shows the failure
+    doubled = [[2 * loop[i // 2][j // 2] + (i + j) % 2 for j in range(10)] for i in range(10)]
+    with pytest.raises(ValueError, match="table not associative"):
+        TableGroup(doubled)
+
+
+def test_table_group_rejects_a_large_loop():
+    # the cyclic table of order 600 with one intercalate swapped: still a
+    # Latin square with a two-sided identity and inverses, but not a group
+    n = 600
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for row in (1, 301):
+        table[row][2], table[row][302] = table[row][302], table[row][2]
+    with pytest.raises(ValueError, match="table not associative"):
+        TableGroup(table)
 
 
 def test_perm_indexed_round_trip():
@@ -135,6 +153,51 @@ def test_pair_group_semidirect():
 
     with pytest.raises(ValueError):
         PairGroup(n, h, action=bad)
+
+
+def _inversion_pair(swap):
+    """C_30030 x| C_2 with C_2 acting by inversion; with `swap`, the images of
+    the generator and its square under the involution are exchanged."""
+    cycles, images, start = (2, 3, 5, 7, 11, 13), [], 0
+    for c in cycles:
+        images += [start + (i + 1) % c for i in range(c)]
+        start += c
+    n = PermIndexedGroup(PermGroup(start, [Permutation(images)]))
+    h = TableGroup([[0, 1], [1, 0]])
+    flip = n.inverses().copy()
+    g = n.generator_indices[0]
+    if swap:
+        g2 = n.mul(g, g)
+        flip[g], flip[g2] = flip[g2], flip[g]
+    return PairGroup(n, h, action=lambda hpart, x: x if hpart == 0 else int(flip[x]))
+
+
+def test_pair_group_checks_the_whole_action():
+    assert _inversion_pair(swap=False).order() == 60060
+    with pytest.raises(ValueError, match="action"):
+        _inversion_pair(swap=True)
+
+
+def _on_h(image):
+    """Action of C_2 = {0, 1} whose involution maps x to image(x)."""
+    return lambda hpart, x: image(x) if hpart else x
+
+
+@pytest.mark.parametrize("act, error", [
+    (_on_h(lambda x: -x % 7), None),
+    (_on_h(lambda x: {1: 2, 2: 1}.get(x, x)), "action is not by homomorphisms"),
+    (_on_h(lambda x: 2 * x % 7), "action is not a left H-action"),
+    (lambda hpart, x: 0, "action is not a left H-action"),
+    (_on_h(lambda x: (x + 1) % 7), "action does not fix the identity"),
+    (_on_h(lambda x: x + 7 * (x == 3)), "action does not map N into itself"),
+], ids=["inversion", "transposition", "order_three", "collapse", "translation", "outside"])
+def test_pair_group_action_checks(act, error):
+    n, h = densify(cyclic(7)), densify(cyclic(2))
+    if error is None:
+        assert PairGroup(n, h, action=act).order() == 14
+    else:
+        with pytest.raises(ValueError, match=error):
+            PairGroup(n, h, action=act)
 
 
 def test_pair_group_cap():

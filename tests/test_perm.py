@@ -18,6 +18,8 @@ from anaburnside.engine import (
 )
 from anaburnside.errors import CapExceeded
 
+import scalar_oracle as oracle
+
 
 def test_permutation_basics():
     p = Permutation.from_cycles(4, [(0, 1, 2)])
@@ -120,6 +122,63 @@ def test_normal_closure():
     assert v4.order() == 4
     three_cycle = Permutation.from_cycles(4, [(0, 1, 2)])
     assert s4.normal_closure([three_cycle]).order() == 12
+
+
+def _commutators(group):
+    gens = group.generators
+    return [a.inverse() * b.inverse() * a * b for i, a in enumerate(gens) for b in gens[i + 1:]]
+
+
+@pytest.mark.parametrize("name", ["s4_double", "s4_three_cycle", "a5_wr_c2", "a5_wr_a5"])
+def test_normal_closure_matches_rebuilt_closure(name):
+    s4 = symmetric(4)
+    group, seeds = {
+        "s4_double": (s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)])]),
+        "s4_three_cycle": (s4, [Permutation.from_cycles(4, [(0, 1, 2)])]),
+        "a5_wr_c2": (wreath(alternating(5), cyclic(2)), None),
+        "a5_wr_a5": (wreath(alternating(5), alternating(5)), None),
+    }[name]
+    seeds = seeds or _commutators(group)
+    got = group.normal_closure(seeds)
+    want = oracle.perm_normal_closure(group, seeds)
+    assert got.generators == want.generators
+    assert got.order() == want.order()
+    assert all(got.contains(g) for g in want.generators)
+
+
+def test_normal_closure_builds_one_group(monkeypatch):
+    group = wreath(alternating(5), alternating(5))
+    seeds = _commutators(group)
+    built = []
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    closure = group.normal_closure(seeds)
+    assert built == [closure]
+    assert closure.order() == group.order()  # the wreath product is perfect
+
+
+@pytest.mark.parametrize("group", [
+    PermGroup(3, []),
+    symmetric(4),
+    alternating(5),
+    dihedral(6),
+    psl2_group(7),
+    direct_product([cyclic(3), symmetric(3)]),
+    wreath(cyclic(2), cyclic(3)),
+    PermGroup(130, [Permutation([(i + 1) % 130 for i in range(130)])], degree_cap=130),
+], ids=["trivial", "s4", "a5", "d6", "psl2_7", "c3xs3", "c2wrc3", "cyclic130"])
+def test_elements_match_breadth_first_enumeration(group):
+    got = group.elements()
+    want = oracle.perm_elements(group)
+    assert len(got) == len(want) == group.order()
+    assert set(got) == set(want)
+    assert got[0] == Permutation.identity(group.degree)
+    assert [p.images for p in got] == sorted(p.images for p in got)
 
 
 def test_pointwise_stabilizer():
