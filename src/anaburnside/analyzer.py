@@ -121,12 +121,14 @@ def _search_witnesses(n: int, config: Config):
         exp = _pool_exponent(kind, arg)
         if n % exp:
             continue
-        G = alternating(arg) if kind == "alternating" else psl2_group(arg)
+        build = alternating if kind == "alternating" else psl2_group
+        G = build(arg, config.degree_cap)
         if G.order() > config.cayley_cap:
             notes.append("%s satisfies the law but exceeds the exhaustive "
                          "verification cap; excluded" % name)
             continue
-        verdict = is_law(law, G, exhaust_cap=config.exhaust_cap)
+        verdict = is_law(law, G, exhaust_cap=config.exhaust_cap,
+                         cayley_cap=config.cayley_cap)
         if not verdict.holds:
             raise RuntimeError("exponent of %s divides %d but the law check failed"
                                % (name, n))

@@ -16,7 +16,7 @@ from .catalog import FAMILY_ORDER, admissible_q_values, b_value, family_ranks
 from .config import Config
 from .towers import (TowerNumber, _add_t, big_E, cmp_t, exp_t, from_real,
                      get_precision, ln_t, mul_t, parse_tower, pow_t,
-                     render_tower, tower)
+                     render_tower, tower, working_precision)
 from .words import Word, word_length
 
 _ONE = tower(0, 1)
@@ -39,32 +39,22 @@ class BoundParams:
         if self.k < 1:
             raise ValueError("nonsolvable length must be positive")
 
-    @property
-    def x(self) -> float:
-        """The recursion seed c*d*length*ln(length); at least 2 by construction."""
-        return self.config.c * self.d * self.length * math.log(self.length)
 
-
-def _seed_x(p: BoundParams):
-    """The recursion seed at full working precision; floats would smear the
-    last bits across every exp that follows."""
-    with mp.workdps(get_precision()):
-        return mp.mpf(p.config.c) * p.d * p.length * mp.ln(p.length)
-
-
-def _scale_part(p: BoundParams):
-    """c*length*ln(length), the d-free part of the seed, at working precision."""
-    with mp.workdps(get_precision()):
-        return mp.mpf(p.config.c) * p.length * mp.ln(p.length)
+def _scale_part(p: BoundParams, d: int = 1):
+    """c*d*length*ln(length) at working precision: the d-free part of the
+    recursion seed by default, the seed x_d itself with d = p.d. Floats
+    would smear the last bits across every exp that follows."""
+    with working_precision(p.config.precision):
+        return mp.mpf(p.config.c) * d * p.length * mp.ln(p.length)
 
 
 def alt_product_bound(p: BoundParams) -> TowerNumber:
     """Product bound over alternating groups: exp(l^2 ln(l) exp(d l ln(l)))."""
-    with mp.workdps(get_precision()):
+    with working_precision(p.config.precision):
         lnl = mp.ln(p.length)
         inner_arg = p.d * p.length * lnl
         outer_arg = p.length ** 2 * lnl
-    return exp_t(mul_t(from_real(outer_arg), exp_t(from_real(inner_arg))))
+        return exp_t(mul_t(from_real(outer_arg), exp_t(from_real(inner_arg))))
 
 
 @dataclass(frozen=True)
@@ -100,24 +90,24 @@ def lie_product_bound(p: BoundParams) -> LieBounds:
     """Lie-type stage: closed form exp(c3 ln(l)^3 exp(l^(c4 d ln l))) and,
     per family, the grid product of (q^b)^((q^b)^d) over ranks k with
     q^(c1*k) <= l and k at most about c2*ln(l)."""
-    with mp.workdps(get_precision()):
+    with working_precision(p.config.precision):
         lnl = mp.ln(p.length)
         cube_arg = p.config.c3 * lnl ** 3
         tower_arg = p.config.c4 * p.d * lnl ** 2
-    closed = exp_t(mul_t(from_real(cube_arg),
-                         exp_t(exp_t(from_real(tower_arg)))))
-    grids = {}
-    total = _ONE
-    for family in FAMILY_ORDER:
-        product = _ONE
-        for k in family_ranks(family, _grid_rank_cap(p)):
-            q_cap = _largest_admissible_q(p.length, p.config.c1 * k)
-            for q in admissible_q_values(family, q_cap):
-                qb = pow_t(from_real(q), b_value(family, k))
-                term = exp_t(mul_t(pow_t(qb, p.d), ln_t(qb)))
-                product = mul_t(product, term)
-        grids[family] = product
-        total = mul_t(total, product)
+        closed = exp_t(mul_t(from_real(cube_arg),
+                             exp_t(exp_t(from_real(tower_arg)))))
+        grids = {}
+        total = _ONE
+        for family in FAMILY_ORDER:
+            product = _ONE
+            for k in family_ranks(family, _grid_rank_cap(p)):
+                q_cap = _largest_admissible_q(p.length, p.config.c1 * k)
+                for q in admissible_q_values(family, q_cap):
+                    qb = pow_t(from_real(q), b_value(family, k))
+                    term = exp_t(mul_t(pow_t(qb, p.d), ln_t(qb)))
+                    product = mul_t(product, term)
+            grids[family] = product
+            total = mul_t(total, product)
     return LieBounds(closed, grids, total)
 
 
@@ -141,16 +131,18 @@ class SemisimpleBounds:
 
 def sporadic_factor(p: BoundParams) -> TowerNumber:
     """One shared order placeholder for the 26 sporadic groups, to the d."""
-    return pow_t(parse_tower(p.config.sporadic_max), p.d)
+    with working_precision(p.config.precision):
+        return pow_t(parse_tower(p.config.sporadic_max), p.d)
 
 
 def semisimple_bound(p: BoundParams) -> SemisimpleBounds:
     """Bound for semisimple groups with a d-generated law-l quotient source:
     alternating stage times every Lie family grid times the sporadic factor."""
     alt, lie, spor = alt_product_bound(p), lie_product_bound(p), sporadic_factor(p)
-    product = mul_t(mul_t(alt, lie.grid_total), spor)
-    # built exactly as the k=1 recursion layer, so the two stay comparable
-    normalized = big_E(2, mul_t(from_real(_scale_part(p)), from_real(p.d)))
+    with working_precision(p.config.precision):
+        product = mul_t(mul_t(alt, lie.grid_total), spor)
+        # built exactly as the k=1 recursion layer, so the two stay comparable
+        normalized = big_E(2, mul_t(from_real(_scale_part(p)), from_real(p.d)))
     return SemisimpleBounds(product, normalized, alt, lie, spor)
 
 
@@ -175,25 +167,25 @@ def anabelian_bound_series(p: BoundParams, k_max: int) -> list:
     """AnabelianBounds for every k from 1 to k_max in one recursion pass."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    scale = from_real(_scale_part(p))
-    two_x = from_real(2 * _seed_x(p))
-    d_t = from_real(p.d)
-    recursive = _ONE
-    out = []
-    for k in range(1, k_max + 1):
-        layer = big_E(2, mul_t(scale, d_t))
-        recursive = mul_t(recursive, layer)
-        d_t = mul_t(d_t, layer)
-        out.append(AnabelianBounds(recursive, big_E(2 * k, two_x)))
+    with working_precision(p.config.precision):
+        scale = from_real(_scale_part(p))
+        two_x = from_real(2 * _scale_part(p, p.d))
+        d_t = from_real(p.d)
+        recursive = _ONE
+        out = []
+        for k in range(1, k_max + 1):
+            layer = big_E(2, mul_t(scale, d_t))
+            recursive = mul_t(recursive, layer)
+            d_t = mul_t(d_t, layer)
+            out.append(AnabelianBounds(recursive, big_E(2 * k, two_x)))
     return out
 
 
 def anabelian_intermediate_bound(p: BoundParams) -> TowerNumber:
     """Middle link of the recursion's chain: E_2k(x + lnln(2x^2))."""
-    with mp.workdps(get_precision()):
-        x = _seed_x(p)
-        arg = x + mp.ln(mp.ln(2 * x * x))
-    return big_E(2 * p.k, from_real(arg))
+    with working_precision(p.config.precision):
+        x = _scale_part(p, p.d)
+        return big_E(2 * p.k, from_real(x + mp.ln(mp.ln(2 * x * x))))
 
 
 def schreier_generator_bound(d: int, index: TowerNumber,
@@ -274,10 +266,11 @@ def main_theorem_bound(w: Word, d: int, lambda_override: int | None = None,
     notes.append("constants: c=%g c1=%g c2=%g c3=%g c4=%g sporadic_max=%s"
                  % (config.c, config.c1, config.c2, config.c3, config.c4,
                     config.sporadic_max))
-    semi = semisimple_bound(p)
-    ana = anabelian_bound(p)
-    if cmp_t(ana.recursive, ana.closed) > 0:
-        raise RuntimeError("recursive bound exceeded its closed form")
+    with working_precision(config.precision):
+        semi = semisimple_bound(p)
+        ana = anabelian_bound(p)
+        if cmp_t(ana.recursive, ana.closed) > 0:
+            raise RuntimeError("recursive bound exceeded its closed form")
     return BoundReport(
         params=p,
         lambda_used=k,

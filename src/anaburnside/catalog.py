@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .towers import TowerNumber, parse_tower, tower
+from .config import Config
+from .towers import TowerNumber, get_precision, parse_tower, tower
 
 # Family order follows the classification list: classical, then exceptional.
 FAMILY_ORDER = (
@@ -46,8 +47,6 @@ SPORADIC_NAMES = (
     "HS", "McL", "He", "Ru", "Suz", "ON", "HN", "Ly", "Th",
     "B", "M",
 )
-
-DEFAULT_SPORADIC_MAX = "E_1(100)"
 
 
 @dataclass(frozen=True)
@@ -242,14 +241,14 @@ def b_value(family: str, k: int | None = None) -> int:
     raise ValueError("unknown family %r" % family)
 
 
-def order_upper_bound(gid, sporadic_max: str = DEFAULT_SPORADIC_MAX) -> TowerNumber:
+def order_upper_bound(gid, sporadic_max: str = Config.sporadic_max) -> TowerNumber:
     """q^b for Lie type, m!/2 for alternating, one configured cap for sporadics."""
     if isinstance(gid, AltId):
-        with mp.workdps(60):
+        with mp.workdps(get_precision()):
             return tower(0, mp.factorial(gid.m) / 2)
     if isinstance(gid, LieId):
         b = b_value(gid.family, gid.k)
-        with mp.workdps(60):
+        with mp.workdps(get_precision()):
             return tower(0, mp.mpf(gid.q) ** b)
     if isinstance(gid, SporadicId):
         return parse_tower(sporadic_max)
@@ -266,10 +265,10 @@ def exact_order(gid):
     return None
 
 
-def law_length_lower_bound(gid, c_lower: float = 1.0) -> int:
+def law_length_lower_bound(gid, c_lower: float = Config.c_lower) -> int:
     """Shortest-law length lower bound, floor of the configured constant times
     q^a (Lie), sqrt(q) (Suzuki), or m (alternating); 1 for sporadics."""
-    with mp.workdps(60):
+    with mp.workdps(get_precision()):
         c = mp.mpf(c_lower)
         if isinstance(gid, AltId):
             return int(mp.floor(c * gid.m))
@@ -298,7 +297,7 @@ def _max_rank_for_length(family: str, length: int, c_lower: float) -> int:
     return last
 
 
-def candidates_for_law_length(length: int, c_lower: float = 1.0, d: int = 1) -> list:
+def candidates_for_law_length(length: int, c_lower: float = Config.c_lower, d: int = 1) -> list:
     """Simple groups not excluded by the law-length lower bounds.
 
     Alternating groups up to length/c_lower, Lie entries whose lower bound is
@@ -372,6 +371,6 @@ def catalog_table_json(max_rank: int = 10) -> str:
     return json.dumps(catalog_table_rows(max_rank), sort_keys=True, separators=(",", ":"))
 
 
-def candidates_json(length: int, c_lower: float = 1.0, d: int = 1) -> str:
+def candidates_json(length: int, c_lower: float = Config.c_lower, d: int = 1) -> str:
     rows = [_id_row(g, c_lower) for g in candidates_for_law_length(length, c_lower, d)]
     return json.dumps(rows, sort_keys=True, separators=(",", ":"))

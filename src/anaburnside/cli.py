@@ -18,7 +18,7 @@ from .config import Config, load_config
 from .engine import (as_indexed, composition_report, from_file, is_law, make_group,
                      nonsolvable_length, shortest_law_search, verify_series_lambda)
 from .errors import CapExceeded, TowerOverflow, WordSyntaxError
-from .towers import render_tower
+from .towers import render_tower, working_precision
 from .words import parse_word, to_string
 
 _ALIAS = re.compile(r"^(alt|sym|cyc|dih)(\d+)$|^psl2[_(](\d+)\)?$")
@@ -26,7 +26,7 @@ _ALIAS_KIND = {"alt": "alternating", "sym": "symmetric", "cyc": "cyclic",
                "dih": "dihedral"}
 
 
-def _resolve_group(text: str):
+def _resolve_group(text: str, config: Config):
     """Accept builder descriptors plus short aliases like alt5 or psl2_7."""
     m = _ALIAS.match(text.strip())
     if m:
@@ -34,7 +34,7 @@ def _resolve_group(text: str):
             text = "psl2(%s)" % m.group(3)
         else:
             text = "%s(%s)" % (_ALIAS_KIND[m.group(1)], m.group(2))
-    return make_group(text)
+    return make_group(text, config.degree_cap, config.cayley_cap)
 
 
 def _envelope(command: str, config: Config, result: dict) -> str:
@@ -128,19 +128,19 @@ def _cmd_catalog(args, config):
     return 0
 
 
-def _load_group(args):
+def _load_group(args, config):
     if getattr(args, "group_file", None):
-        return from_file(args.group_file)
+        return from_file(args.group_file, config.degree_cap, config.cayley_cap)
     if getattr(args, "group", None):
-        return _resolve_group(args.group)
+        return _resolve_group(args.group, config)
     raise ValueError("give --group or --group-file")
 
 
 def _cmd_lawcheck(args, config):
-    G = _load_group(args)
+    G = _load_group(args, config)
     word = parse_word(args.word)
-    verdict = is_law(word, G, mode=args.mode, samples=args.samples,
-                     seed=config.seed, exhaust_cap=config.exhaust_cap)
+    verdict = is_law(word, G, mode=args.mode, samples=args.samples, seed=config.seed,
+                     exhaust_cap=config.exhaust_cap, cayley_cap=config.cayley_cap)
     result = {"word": to_string(word), "holds": verdict.holds,
               "mode": verdict.mode, "checked": verdict.checked}
     if verdict.witness is not None:
@@ -155,7 +155,7 @@ def _cmd_lawcheck(args, config):
 
 
 def _cmd_lambda(args, config):
-    G = _load_group(args)
+    G = _load_group(args, config)
     # one index under the configured cap serves lambda and composition; a
     # verified series works on generators and needs none
     Gi = None
@@ -188,9 +188,9 @@ def _cmd_lambda(args, config):
 
 
 def _cmd_shortest_law(args, config):
-    G = _resolve_group(args.group)
+    G = _resolve_group(args.group, config)
     res = shortest_law_search(G, args.max_len, args.vars, seed=config.seed,
-                              exhaust_cap=config.exhaust_cap)
+                              exhaust_cap=config.exhaust_cap, cayley_cap=config.cayley_cap)
     result = {"certificate": res.certificate, "words_checked": res.words_checked}
     if res.found is not None:
         result["word"] = to_string(res.found)
@@ -270,7 +270,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        with working_precision(config.precision):
+            return _COMMANDS[args.command](args, config)
     except (CapExceeded, TowerOverflow) as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 3

@@ -5,9 +5,10 @@ import math
 import re
 
 from ..catalog import factorize
+from ..config import Config
 from ..errors import CapExceeded
 from .indexed import TableGroup
-from .perm import DEGREE_CAP, Permutation, PermGroup
+from .perm import Permutation, PermGroup
 
 ALT_SYM_CAP = 16
 PSL_Q_CAP = 32
@@ -89,53 +90,53 @@ class GaloisField:
         return self._inv[a]
 
 
-def cyclic(n):
+def cyclic(n, degree_cap=Config.degree_cap, cayley_cap=Config.cayley_cap):
     """Cyclic group of order n, as permutations up to the degree cap, else as a table."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n <= DEGREE_CAP:
+    if n <= degree_cap:
         if n == 1:
-            return PermGroup(1, [])
-        return PermGroup(n, [Permutation([(i + 1) % n for i in range(n)])])
+            return PermGroup(1, [], degree_cap)
+        return PermGroup(n, [Permutation([(i + 1) % n for i in range(n)])], degree_cap)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return TableGroup(table)
+    return TableGroup(table, cayley_cap)
 
 
-def symmetric(m):
+def symmetric(m, degree_cap=Config.degree_cap):
     if not 1 <= m <= ALT_SYM_CAP:
         raise CapExceeded("symmetric degree %d outside 1..%d" % (m, ALT_SYM_CAP))
     if m == 1:
-        return PermGroup(1, [])
+        return PermGroup(1, [], degree_cap)
     gens = [Permutation.from_cycles(m, [(0, 1)])]
     if m > 2:
         gens.append(Permutation.from_cycles(m, [tuple(range(m))]))
-    return PermGroup(m, gens)
+    return PermGroup(m, gens, degree_cap)
 
 
-def alternating(m):
+def alternating(m, degree_cap=Config.degree_cap):
     if not 1 <= m <= ALT_SYM_CAP:
         raise CapExceeded("alternating degree %d outside 1..%d" % (m, ALT_SYM_CAP))
     if m <= 2:
-        return PermGroup(max(m, 1), [])
+        return PermGroup(max(m, 1), [], degree_cap)
     gens = [Permutation.from_cycles(m, [(0, 1, 2)])]
     if m > 3:
         cyc = tuple(range(m)) if m % 2 == 1 else tuple(range(1, m))
         gens.append(Permutation.from_cycles(m, [cyc]))
-    return PermGroup(m, gens)
+    return PermGroup(m, gens, degree_cap)
 
 
-def dihedral(n):
+def dihedral(n, degree_cap=Config.degree_cap):
     """Symmetries of the n-gon, order 2n, for n >= 3."""
     if n < 3:
         raise ValueError("dihedral requires n >= 3")
-    if n > DEGREE_CAP:
-        raise CapExceeded("dihedral degree %d exceeds %d" % (n, DEGREE_CAP))
+    if n > degree_cap:
+        raise CapExceeded("dihedral degree %d exceeds %d" % (n, degree_cap))
     rot = Permutation([(i + 1) % n for i in range(n)])
     ref = Permutation([(n - i) % n for i in range(n)])
-    return PermGroup(n, [rot, ref])
+    return PermGroup(n, [rot, ref], degree_cap)
 
 
-def psl2_group(q):
+def psl2_group(q, degree_cap=Config.degree_cap):
     """PSL(2,q) acting on the q+1 points of the projective line.
 
     Point i < q is the field element i, point q is the point at infinity.
@@ -162,22 +163,22 @@ def psl2_group(q):
     for c in range(1, q):
         gens.append(moebius(1, c, 0, 1))
         gens.append(moebius(1, 0, c, 1))
-    group = PermGroup(q + 1, gens)
+    group = PermGroup(q + 1, gens, degree_cap)
     expected = q * (q * q - 1) // math.gcd(2, q - 1)
     if group.order() != expected:
         raise RuntimeError("psl2(%d) order %d != %d" % (q, group.order(), expected))
     return group
 
 
-def direct_product(groups):
+def direct_product(groups, degree_cap=Config.degree_cap):
     """Direct product of permutation groups, acting on the disjoint union."""
     if not groups:
         raise ValueError("empty product")
     if not all(isinstance(g, PermGroup) for g in groups):
         raise ValueError("direct_product expects permutation groups")
     degree = sum(g.degree for g in groups)
-    if degree > DEGREE_CAP:
-        raise CapExceeded("product degree %d exceeds %d" % (degree, DEGREE_CAP))
+    if degree > degree_cap:
+        raise CapExceeded("product degree %d exceeds %d" % (degree, degree_cap))
     gens = []
     offset = 0
     for g in groups:
@@ -187,10 +188,10 @@ def direct_product(groups):
                 imgs[offset + i] = offset + im
             gens.append(Permutation(imgs))
         offset += g.degree
-    return PermGroup(degree, gens)
+    return PermGroup(degree, gens, degree_cap)
 
 
-def wreath(inner, outer):
+def wreath(inner, outer, degree_cap=Config.degree_cap):
     """Imprimitive wreath product: outer.degree blocks of inner's domain.
 
     Requires a transitive outer group; the order is asserted against
@@ -200,8 +201,8 @@ def wreath(inner, outer):
         raise ValueError("wreath requires a transitive outer group")
     d, b = inner.degree, outer.degree
     degree = d * b
-    if degree > DEGREE_CAP:
-        raise CapExceeded("wreath degree %d exceeds %d" % (degree, DEGREE_CAP))
+    if degree > degree_cap:
+        raise CapExceeded("wreath degree %d exceeds %d" % (degree, degree_cap))
     gens = []
     for p in inner.generators:
         imgs = list(range(degree))
@@ -211,14 +212,14 @@ def wreath(inner, outer):
     for h in outer.generators:
         imgs = [h(j) * d + i for j in range(b) for i in range(d)]
         gens.append(Permutation(imgs))
-    group = PermGroup(degree, gens)
+    group = PermGroup(degree, gens, degree_cap)
     expected = inner.order() ** b * outer.order()
     if group.order() != expected:
         raise RuntimeError("wreath order %d != %d" % (group.order(), expected))
     return group
 
 
-def from_file(path):
+def from_file(path, degree_cap=Config.degree_cap, cayley_cap=Config.cayley_cap):
     """Load a group from JSON: permutation generators or a full table.
 
     Permutation format: {"degree": d, "generators": [[images, 1-based]]}.
@@ -233,9 +234,9 @@ def from_file(path):
             if sorted(images) != list(range(1, degree + 1)):
                 raise ValueError("generator is not a bijection of 1..%d" % degree)
             gens.append(Permutation([p - 1 for p in images]))
-        return PermGroup(degree, gens)
+        return PermGroup(degree, gens, degree_cap)
     if "table" in data:
-        return TableGroup(data["table"])
+        return TableGroup(data["table"], cayley_cap)
     raise ValueError("unrecognized group file: need 'generators' or 'table'")
 
 
@@ -262,8 +263,8 @@ def _split_args(text):
     return parts
 
 
-def make_group(descriptor):
-    """Build a group from a descriptor string.
+def make_group(descriptor, degree_cap=Config.degree_cap, cayley_cap=Config.cayley_cap):
+    """Build a group from a descriptor string, every part under the caps.
 
     Supported: alternating(m), symmetric(m), cyclic(n), dihedral(n), psl2(q),
     direct_product(d1,d2,...), wreath(inner,outer), from_file(path).
@@ -273,21 +274,25 @@ def make_group(descriptor):
         raise ValueError("bad group descriptor: %r" % descriptor)
     name, argtext = m.group(1), m.group(2)
     if name == "from_file":
-        return from_file(argtext.strip())
+        return from_file(argtext.strip(), degree_cap, cayley_cap)
     args = _split_args(argtext)
     if name in ("alternating", "symmetric", "cyclic", "dihedral", "psl2"):
         if len(args) != 1:
             raise ValueError("%s takes one integer argument" % name)
         value = int(args[0])
+        if name == "cyclic":
+            return cyclic(value, degree_cap, cayley_cap)
         builder = {"alternating": alternating, "symmetric": symmetric,
-                   "cyclic": cyclic, "dihedral": dihedral, "psl2": psl2_group}[name]
-        return builder(value)
+                   "dihedral": dihedral, "psl2": psl2_group}[name]
+        return builder(value, degree_cap)
     if name == "direct_product":
         if not args or args == [""]:
             raise ValueError("direct_product needs at least one factor")
-        return direct_product([make_group(a) for a in args])
+        return direct_product([make_group(a, degree_cap, cayley_cap) for a in args],
+                              degree_cap)
     if name == "wreath":
         if len(args) != 2:
             raise ValueError("wreath takes two descriptors")
-        return wreath(make_group(args[0]), make_group(args[1]))
+        return wreath(make_group(args[0], degree_cap, cayley_cap),
+                      make_group(args[1], degree_cap, cayley_cap), degree_cap)
     raise ValueError("unknown group kind: %r" % name)

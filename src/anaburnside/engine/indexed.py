@@ -15,10 +15,10 @@ single inverse array is kept.
 
 import numpy as np
 
+from ..config import Config
 from ..errors import CapExceeded
 from .perm import Permutation, PermGroup, row_keys
 
-CAYLEY_CAP = 100_000
 DENSE_CAP = 2048
 
 
@@ -174,12 +174,12 @@ class IndexedGroup:
 class TableGroup(IndexedGroup):
     """Explicit multiplication table, validated at construction."""
 
-    def __init__(self, table):
+    def __init__(self, table, cap=Config.cayley_cap):
         n = len(table)
         if n < 1:
             raise ValueError("empty table")
-        if n > CAYLEY_CAP:
-            raise CapExceeded("order %d exceeds cap %d" % (n, CAYLEY_CAP))
+        if n > cap:
+            raise CapExceeded("order %d exceeds cap %d" % (n, cap))
         arr = np.asarray(table, dtype=np.int64)
         if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
             raise ValueError("table must be n x n with entries in 0..n-1")
@@ -232,7 +232,7 @@ class PermIndexedGroup(IndexedGroup):
     """The rows of `PermGroup.element_rows`, indexed in their lexicographic
     order; a lookup is one `searchsorted` on the rows' bytes."""
 
-    def __init__(self, group, cap=CAYLEY_CAP):
+    def __init__(self, group, cap=Config.cayley_cap):
         n = group.order()
         if n > cap:
             raise CapExceeded("order %d exceeds cap %d" % (n, cap))
@@ -398,7 +398,7 @@ class PairGroup(IndexedGroup):
     """
 
     def __init__(self, left, right, action=None):
-        if left.n * right.n > CAYLEY_CAP:
+        if left.n * right.n > Config.cayley_cap:
             raise CapExceeded("product order %d exceeds cap" % (left.n * right.n))
         self.left, self.right = left, right
         self.action = action or (lambda h, x: x)
@@ -489,7 +489,7 @@ def _products(G, xs, ys):
     return out
 
 
-def as_indexed(group, cap=CAYLEY_CAP):
+def as_indexed(group, cap=Config.cayley_cap):
     """Present a group handle with integer element indexes."""
     if isinstance(group, IndexedGroup):
         return group

@@ -6,14 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import Config
 from ..errors import CapExceeded
 from ..words import Word, evaluate
 from .indexed import DENSE_CAP, PermIndexedGroup, TableGroup, as_indexed, densify
 from .perm import PermGroup
 from .structure import is_simple, subgroup_closure
 
-EXHAUST_CAP = 100_000_000
-DEFAULT_SEED = 20260816
 _CHUNK = 1 << 18
 _TUPLE_WORK_CAP = 20_000_000
 
@@ -64,13 +63,14 @@ def _power_indexes(G, e):
     return result.astype(np.int64)
 
 
-def is_law(word, G, mode="exhaustive", samples=256, seed=DEFAULT_SEED,
-           exhaust_cap=EXHAUST_CAP):
+def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
+           exhaust_cap=Config.exhaust_cap, cayley_cap=Config.cayley_cap):
     """Check whether a word evaluates to the identity on all assignments.
 
-    Exhaustive mode enumerates |G|^rank assignments (within the cap) and
-    returns a concrete witness on failure; assignments run in row-major
-    order of the element indexing. Sampled mode is a seeded spot check.
+    Exhaustive mode enumerates |G|^rank assignments (at most `exhaust_cap`,
+    on a group of order at most `cayley_cap` once indexed) and returns a
+    concrete witness on failure; assignments run in row-major order of the
+    element indexing. Sampled mode is a seeded spot check.
     """
     if mode == "sampled":
         return _is_law_sampled(word, G, samples, seed)
@@ -79,7 +79,7 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=DEFAULT_SEED,
     rank, n = word.rank, G.order()
     if n ** rank > exhaust_cap:
         raise CapExceeded("%d^%d assignments exceed cap %d" % (n, rank, exhaust_cap))
-    Gi = as_indexed(G)
+    Gi = as_indexed(G, cap=cayley_cap)
     if isinstance(Gi, PermIndexedGroup):
         return _is_law_perm(word, Gi)
     if not isinstance(Gi, TableGroup) and Gi.n <= DENSE_CAP:
@@ -262,8 +262,8 @@ def _word_from_letters(letters, num_vars):
     return Word.make(tuple(syllables), rank=num_vars)
 
 
-def shortest_law_search(G, max_len, num_vars, seed=DEFAULT_SEED,
-                        exhaust_cap=EXHAUST_CAP):
+def shortest_law_search(G, max_len, num_vars, seed=Config.seed,
+                        exhaust_cap=Config.exhaust_cap, cayley_cap=Config.cayley_cap):
     """Find the shortest nontrivial law of the group, up to a length bound.
 
     Enumerates cyclically reduced words by length, deduplicated under
@@ -285,7 +285,7 @@ def shortest_law_search(G, max_len, num_vars, seed=DEFAULT_SEED,
             quick = is_law(word, G, mode="sampled", samples=16, seed=seed)
             if not quick.holds:
                 continue
-            verdict = is_law(word, G, mode="exhaustive", exhaust_cap=exhaust_cap)
+            verdict = is_law(word, G, exhaust_cap=exhaust_cap, cayley_cap=cayley_cap)
             if verdict.holds:
                 return ShortestLawResult(word, length, "found", checked)
     return ShortestLawResult(None, None, "none_up_to(%d)" % max_len, checked)
@@ -294,7 +294,7 @@ def shortest_law_search(G, max_len, num_vars, seed=DEFAULT_SEED,
 # ---------------------------------------------------------------------------
 # generating tuples and automorphisms
 
-def count_generating_tuples(G, d, exhaust_cap=EXHAUST_CAP):
+def count_generating_tuples(G, d, exhaust_cap=Config.exhaust_cap):
     """Number of d-tuples whose entries generate the whole group."""
     Gi = as_indexed(G)
     n = Gi.n

@@ -5,9 +5,8 @@ import random
 
 import numpy as np
 
+from ..config import Config
 from ..errors import CapExceeded
-
-DEGREE_CAP = 64
 
 
 def row_keys(rows):
@@ -128,7 +127,7 @@ class _ChainLevel:
 class PermGroup:
     """Group generated by permutations, order via a Schreier-Sims chain."""
 
-    def __init__(self, degree, generators, degree_cap=DEGREE_CAP):
+    def __init__(self, degree, generators, degree_cap=Config.degree_cap):
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if degree > degree_cap:

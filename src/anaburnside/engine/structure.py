@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..catalog import factorize, is_prime_power
+from ..config import Config
 from ..errors import CapExceeded
 from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
 from .perm import PermGroup, Permutation
 
-LAMBDA_CERTIFY_CAP = 5_000
 SEMISIMPLE_INDEX_CAP = 30_000
 _LATTICE_CAP = 512
 
@@ -387,7 +387,7 @@ class LambdaReport:
         return "lambda %s %d" % (marker, self.value)
 
 
-def nonsolvable_length(G, certify_cap=LAMBDA_CERTIFY_CAP):
+def nonsolvable_length(G, certify_cap=Config.lambda_certify_cap):
     """Minimal number of nonsolvable layers in a normal series.
 
     Values 0 and 1 are exact by definition (0 iff solvable). Larger values

@@ -8,11 +8,14 @@ comparison lexicographic and lets heights in the millions cost nothing.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import total_ordering
 
 from mpmath import mp
 
+from .config import Config
 from .errors import TowerOverflow
 
 # Largest binary magnitude a real may reach before the next exp would need a
@@ -25,19 +28,27 @@ MAX_MAG = 1 << 23
 # logarithm descent or the dominant-operand shortcut.
 CHEAP_MAG = 1 << 12
 
-_DPS = 60
-
-
-def set_precision(dps: int) -> None:
-    """Set the working decimal precision for all tower operations."""
-    global _DPS
-    if dps < 50:
-        raise ValueError("tower precision must be at least 50 digits")
-    _DPS = dps
+_PRECISION = ContextVar("tower_precision", default=Config.precision)
 
 
 def get_precision() -> int:
-    return _DPS
+    """Working decimal digits of tower arithmetic in the current scope."""
+    return _PRECISION.get()
+
+
+@contextmanager
+def working_precision(dps: int):
+    """Run the block, its tower arithmetic and its mpmath work at `dps` digits.
+
+    The setting is a context variable, so it ends with the block and never
+    leaks into other callers; outside every block it is `Config.precision`.
+    """
+    token = _PRECISION.set(dps)
+    try:
+        with mp.workdps(dps):
+            yield
+    finally:
+        _PRECISION.reset(token)
 
 
 @total_ordering
@@ -56,7 +67,7 @@ class TowerNumber:
     def __post_init__(self) -> None:
         if self.height < 0:
             raise ValueError("tower height must be nonnegative")
-        with mp.workdps(_DPS):
+        with mp.workdps(get_precision()):
             f = mp.mpf(self.index)
         if not (0 <= f < 1):
             raise ValueError(
@@ -83,7 +94,7 @@ class TowerNumber:
 
     def __repr__(self) -> str:
         flag = ", inexact" if self.inexact else ""
-        with mp.workdps(_DPS):
+        with mp.workdps(get_precision()):
             return "TowerNumber(%d, %s%s)" % (self.height, mp.nstr(self.index, 12), flag)
 
 
@@ -98,10 +109,11 @@ def tower(height: int, index) -> TowerNumber:
     """
     if height < 0:
         raise ValueError("tower height must be nonnegative")
-    with mp.workdps(_DPS):
+    dps = get_precision()
+    with mp.workdps(dps):
         x = mp.mpf(index)
         h = int(height)
-        snap = mp.mpf(10) ** (10 - _DPS)
+        snap = mp.mpf(10) ** (10 - dps)
         stepped = False
         while True:
             if stepped:
@@ -125,7 +137,7 @@ def tower(height: int, index) -> TowerNumber:
 
 def from_real(x) -> TowerNumber:
     """Canonicalize a nonnegative real: iterate ln until the result drops below 1."""
-    with mp.workdps(_DPS):
+    with mp.workdps(get_precision()):
         v = mp.mpf(x)
     if v < 0:
         raise ValueError("negative values are not representable")
@@ -134,13 +146,25 @@ def from_real(x) -> TowerNumber:
 
 def to_real(x: TowerNumber):
     """Materialize the represented real, or raise TowerOverflow when it cannot fit."""
-    with mp.workdps(_DPS):
+    v = _real(x, MAX_MAG)
+    if v is None:
+        raise TowerOverflow("E_%d(%s) does not fit as a real" % (x.height, mp.nstr(x.index, 6)))
+    return v
+
+
+def _real(x: TowerNumber, cap: int):
+    """The represented real, or None when a step of its exp chain starts
+    above `cap` magnitude.
+
+    A value past (cap + 2)*ln 2 that still has an exp ahead of it is
+    certain to fail the next step, so that expensive exp is never taken.
+    """
+    with mp.workdps(get_precision()):
         v = mp.mpf(x.index)
-        for _ in range(x.height):
-            if mp.mag(v) > MAX_MAG:
-                raise TowerOverflow(
-                    "E_%d(%s) does not fit as a real" % (x.height, mp.nstr(x.index, 6))
-                )
+        skip = (cap + 2) * mp.ln(2)
+        for step in range(x.height, 0, -1):
+            if mp.mag(v) > cap or (step > 1 and v > skip):
+                return None
             v = mp.exp(v)
         return v
 
@@ -175,9 +199,10 @@ def cmp_t(x: TowerNumber, y: TowerNumber) -> int:
     """
     if x.height != y.height:
         return -1 if x.height < y.height else 1
-    with mp.workdps(_DPS):
+    dps = get_precision()
+    with mp.workdps(dps):
         d = mp.mpf(x.index) - mp.mpf(y.index)
-        if abs(d) <= mp.mpf(10) ** (10 - _DPS):
+        if abs(d) <= mp.mpf(10) ** (10 - dps):
             return 0
     return -1 if d < 0 else 1
 
@@ -186,8 +211,9 @@ def close_t(x: TowerNumber, y: TowerNumber, tol=None) -> bool:
     """Equality up to an index tolerance, for values computed along different routes."""
     if x.height != y.height:
         return False
-    with mp.workdps(_DPS):
-        t = mp.mpf(10) ** (15 - _DPS) if tol is None else mp.mpf(tol)
+    dps = get_precision()
+    with mp.workdps(dps):
+        t = mp.mpf(10) ** (15 - dps) if tol is None else mp.mpf(tol)
         return abs(mp.mpf(x.index) - mp.mpf(y.index)) <= t
 
 
@@ -203,42 +229,6 @@ def is_one(x: TowerNumber) -> bool:
     return x.height == 1 and x.index == 0
 
 
-def _fits(x: TowerNumber, cap: int) -> bool:
-    """True when every exp step of to_real(x) stays under `cap` magnitude.
-
-    Walks the exp chain without ever materializing a value past the cap:
-    once v exceeds (cap + 2)*ln 2, the next magnitude is certainly over
-    cap, so the verdict is known and the expensive exp is skipped.
-    """
-    with mp.workdps(_DPS):
-        v = mp.mpf(x.index)
-        skip = (cap + 2) * mp.ln(2)
-        for step in range(x.height):
-            if mp.mag(v) > cap:
-                return False
-            if step == x.height - 1:
-                return True
-            if v > skip:
-                return False
-            v = mp.exp(v)
-        return True
-
-
-def _feasible(x: TowerNumber) -> bool:
-    """True when to_real(x) will succeed without raising TowerOverflow."""
-    return _fits(x, MAX_MAG)
-
-
-def _cheap(x: TowerNumber) -> bool:
-    """True when to_real(x) is also fast at any working precision.
-
-    exp cost grows roughly quadratically in the argument's magnitude once
-    the magnitude dwarfs the precision, so arithmetic only materializes
-    values whose whole exp chain stays far below that regime.
-    """
-    return _fits(x, CHEAP_MAG)
-
-
 def _add_t(x: TowerNumber, y: TowerNumber) -> TowerNumber:
     """Internal sum, exact when both operands materialize cheaply.
 
@@ -251,9 +241,11 @@ def _add_t(x: TowerNumber, y: TowerNumber) -> TowerNumber:
         return y
     if is_zero(y):
         return x
-    if _cheap(x) and _cheap(y):
-        with mp.workdps(_DPS):
-            out = tower(0, to_real(x) + to_real(y))
+    xv = _real(x, CHEAP_MAG)
+    yv = None if xv is None else _real(y, CHEAP_MAG)
+    if yv is not None:
+        with mp.workdps(get_precision()):
+            out = tower(0, xv + yv)
         if x.inexact or y.inexact:
             out = replace(out, inexact=True)
         return out
@@ -281,16 +273,16 @@ def mul_t(x: TowerNumber, y: TowerNumber) -> TowerNumber:
         return exp_t(_add_t(ln_t(x), ln_t(y)))
     if x.height == 0 and y.height == 0:
         # Both values sit in (0,1); so does the product.
-        with mp.workdps(_DPS):
+        with mp.workdps(get_precision()):
             out = tower(0, to_real(x) * to_real(y))
         if x.inexact or y.inexact:
             out = replace(out, inexact=True)
         return out
     small, big = (x, y) if x.height == 0 else (y, x)
-    lg = ln_t(big)
-    if _cheap(lg):
-        with mp.workdps(_DPS):
-            s = to_real(lg) + mp.ln(to_real(small))
+    lg = _real(ln_t(big), CHEAP_MAG)
+    if lg is not None:
+        with mp.workdps(get_precision()):
+            s = lg + mp.ln(to_real(small))
             out = exp_t(tower(0, s)) if s >= 0 else tower(0, mp.exp(s))
         if x.inexact or y.inexact:
             out = replace(out, inexact=True)
@@ -301,7 +293,7 @@ def mul_t(x: TowerNumber, y: TowerNumber) -> TowerNumber:
 
 def pow_t(x: TowerNumber, n) -> TowerNumber:
     """x raised to a nonnegative real power n, via x^n = exp(n * ln x)."""
-    with mp.workdps(_DPS):
+    with mp.workdps(get_precision()):
         e = mp.mpf(n)
         if e < 0:
             raise ValueError("negative exponents are not supported")
@@ -311,11 +303,10 @@ def pow_t(x: TowerNumber, n) -> TowerNumber:
             return x
         if is_zero(x) or is_one(x):
             return x
-        if _cheap(x):
-            v = to_real(x)
-            if mp.mag(v) * e <= MAX_MAG:
-                out = tower(0, v ** e)
-                return replace(out, inexact=x.inexact) if x.inexact else out
+        v = _real(x, CHEAP_MAG)
+        if v is not None and mp.mag(v) * e <= MAX_MAG:
+            out = tower(0, v ** e)
+            return replace(out, inexact=x.inexact) if x.inexact else out
     if x.height == 0:
         # value in (0,1); ln is negative, not representable
         raise ValueError("powers of values below 1 are not representable")
@@ -334,7 +325,7 @@ def _low_render_cap() -> TowerNumber:
 
 def render_tower(x: TowerNumber) -> str:
     """Render as "E_h(f)", with a decimal tail when the value is below 10^30."""
-    with mp.workdps(_DPS):
+    with mp.workdps(get_precision()):
         s = "E_%d(%s)" % (x.height, mp.nstr(mp.mpf(x.index), 6))
         if cmp_t(x, _low_render_cap()) < 0:
             s += " = %s" % mp.nstr(to_real(x), 8)

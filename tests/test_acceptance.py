@@ -20,6 +20,7 @@ from anaburnside.analyzer import (
 )
 from anaburnside.bounds import (
     BoundParams,
+    _scale_part,
     alt_product_bound,
     anabelian_bound_series,
     anabelian_intermediate_bound,
@@ -32,6 +33,7 @@ from anaburnside.catalog import (
     catalog_table_json,
     catalog_table_rows,
 )
+from anaburnside.config import Config
 from anaburnside.engine import (
     PairGroup,
     Permutation,
@@ -63,11 +65,10 @@ from anaburnside.towers import (
     close_t,
     cmp_t,
     from_real,
-    get_precision,
     mul_t,
-    set_precision,
     to_real,
     tower,
+    working_precision,
 )
 from anaburnside.words import parse_word, to_string
 
@@ -147,7 +148,7 @@ def test_criterion_04_recursion_chain(capsys):
             for length in lengths:
                 p1 = BoundParams(d=d, length=length, k=1)
                 series = anabelian_bound_series(p1, 50)
-                base_h = from_real(2 * p1.x).height
+                base_h = from_real(2 * _scale_part(p1, d)).height
                 for k in range(1, 51):
                     ab = series[k - 1]
                     mid = anabelian_intermediate_bound(
@@ -156,29 +157,23 @@ def test_criterion_04_recursion_chain(capsys):
                     assert cmp_t(mid, ab.closed) <= 0, (d, length, k)
                     assert ab.closed.height == 2 * k + base_h, (d, length, k)
         # k <= 3 values re-derived at 200 digits must match to 1e-40.
-        old = get_precision()
-        try:
-            for d in ds:
-                for length in lengths:
-                    p = BoundParams(d=d, length=length, k=1)
-                    series60 = anabelian_bound_series(p, 3)
-                    mids60 = [anabelian_intermediate_bound(
-                        BoundParams(d=d, length=length, k=k)) for k in (1, 2, 3)]
-                    set_precision(200)
-                    series200 = anabelian_bound_series(p, 3)
-                    mids200 = [anabelian_intermediate_bound(
-                        BoundParams(d=d, length=length, k=k)) for k in (1, 2, 3)]
-                    with mpmath.workdps(200):
-                        x = mpmath.mpf(2.0) * d * length * mpmath.ln(length)
-                        assert x + mpmath.ln(mpmath.ln(2 * x * x)) <= 2 * x
-                    set_precision(old)
-                    for k in (1, 2, 3):
-                        a60, a200 = series60[k - 1], series200[k - 1]
-                        assert close_t(a60.recursive, a200.recursive, tol=1e-40)
-                        assert close_t(a60.closed, a200.closed, tol=1e-40)
-                        assert close_t(mids60[k - 1], mids200[k - 1], tol=1e-40)
-        finally:
-            set_precision(old)
+        high = Config(precision=200)
+        for d in ds:
+            for length in lengths:
+                series60 = anabelian_bound_series(BoundParams(d, length, 1), 3)
+                mids60 = [anabelian_intermediate_bound(
+                    BoundParams(d=d, length=length, k=k)) for k in (1, 2, 3)]
+                series200 = anabelian_bound_series(BoundParams(d, length, 1, high), 3)
+                mids200 = [anabelian_intermediate_bound(
+                    BoundParams(d, length, k, high)) for k in (1, 2, 3)]
+                with mpmath.workdps(200):
+                    x = mpmath.mpf(2.0) * d * length * mpmath.ln(length)
+                    assert x + mpmath.ln(mpmath.ln(2 * x * x)) <= 2 * x
+                for k in (1, 2, 3):
+                    a60, a200 = series60[k - 1], series200[k - 1]
+                    assert close_t(a60.recursive, a200.recursive, tol=1e-40)
+                    assert close_t(a60.closed, a200.closed, tol=1e-40)
+                    assert close_t(mids60[k - 1], mids200[k - 1], tol=1e-40)
         assert time.perf_counter() - t_start < 10.0
 
 
@@ -240,17 +235,12 @@ def test_criterion_06_randomized_tower_checks(capsys):
             assert cmp_t(lhs, rhs) <= 0, (k, x, y)
             checks += 1
         # Products of height <= 2 towers against a 200-digit recomputation.
-        old = get_precision()
         for _ in range(500):
             a = tower(rng.randint(0, 2), rng.random())
             b = tower(rng.randint(0, 2), rng.random())
             got = mul_t(a, b)
-            set_precision(200)
-            try:
-                with mpmath.workdps(200):
-                    want = from_real(to_real(a) * to_real(b))
-            finally:
-                set_precision(old)
+            with working_precision(200):
+                want = from_real(to_real(a) * to_real(b))
             assert close_t(got, want, tol=1e-40), (a, b)
             checks += 1
         assert checks == 10000

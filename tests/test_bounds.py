@@ -26,11 +26,9 @@ from anaburnside.towers import (
     close_t,
     cmp_t,
     from_real,
-    get_precision,
     ln_t,
     mul_t,
     render_tower,
-    set_precision,
     to_real,
     tower,
 )
@@ -59,8 +57,8 @@ def test_params_validation():
 
 def test_params_x():
     p = BoundParams(d=2, length=30)
-    assert math.isclose(p.x, 2.0 * 2 * 30 * math.log(30))
-    assert BoundParams(d=1, length=2).x >= 2
+    assert math.isclose(bounds._scale_part(p, p.d), 2.0 * 2 * 30 * math.log(30))
+    assert bounds._scale_part(BoundParams(d=1, length=2), 1) >= 2
 
 
 def test_alt_bound_smallest_point_is_exact():
@@ -148,7 +146,7 @@ def test_closed_height_bookkeeping():
             for k in (1, 3, 10):
                 p = BoundParams(d=d, length=length, k=k)
                 ab = anabelian_bound(p)
-                base = from_real(2 * p.x)
+                base = from_real(2 * bounds._scale_part(p, d))
                 assert ab.closed.height == 2 * k + base.height
 
 
@@ -230,12 +228,18 @@ def test_report_to_dict_round_trip():
 
 def test_oracle_precision_rerun():
     # The working precision can be raised; results agree with the default run.
-    p = BoundParams(d=1, length=2)
-    base = alt_product_bound(p)
-    old = get_precision()
-    set_precision(200)
-    try:
-        high = alt_product_bound(p)
-    finally:
-        set_precision(old)
+    base = alt_product_bound(BoundParams(d=1, length=2))
+    high = alt_product_bound(BoundParams(d=1, length=2, config=Config(precision=200)))
     assert close_t(base, high, tol=1e-40)
+
+
+def test_stages_run_at_the_configured_precision():
+    # exp(4 ln2 * exp(2 ln2)) = 2^16 = E_3(ln ln(16 ln 2))
+    with mpmath.workdps(120):
+        want = mpmath.ln(mpmath.ln(16 * mpmath.ln(2)))
+    high = alt_product_bound(BoundParams(1, 2, config=Config(precision=120)))
+    low = alt_product_bound(BoundParams(1, 2))
+    assert high.height == low.height == 3
+    with mpmath.workdps(120):
+        assert abs(high.index - want) < mpmath.mpf(10) ** -100
+        assert abs(low.index - want) > mpmath.mpf(10) ** -100

@@ -178,6 +178,44 @@ def test_lambda_respects_cayley_cap(capsys, tmp_path):
     assert json.loads(out)["result"]["composition_factors"] == ["Alt(6)"]
 
 
+def _config_file(tmp_path, **fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    return str(cfg)
+
+
+def test_analyze_witness_pool_reads_cayley_cap(capsys, tmp_path):
+    # Alt(9) has order 181440: excluded under the default cap, certified above it
+    code, out, _ = run(capsys, ["--config", _config_file(tmp_path, cayley_cap=200_000),
+                                "analyze", "x^1260", "--json"])
+    assert code == 0
+    assert "Alt(9)" in [w["name"] for w in json.loads(out)["result"]["witnesses"]]
+
+
+def test_lawcheck_reads_cayley_cap(capsys, tmp_path):
+    code, out, err = run(capsys, ["--config", _config_file(tmp_path, cayley_cap=1000),
+                                  "lawcheck", "x^420", "--group", "alt7"])
+    assert code == 3
+    assert out == ""
+    assert "cap 1000" in err
+
+
+@pytest.mark.parametrize("group", ["dih12", "direct_product(alternating(5),cyclic(5))",
+                                   "wreath(cyclic(3),cyclic(3))", "alt9", "<degree 9 file>"])
+def test_group_builders_read_degree_cap(capsys, tmp_path, group):
+    if group == "<degree 9 file>":
+        group = str(tmp_path / "c9.json")
+        write_perm_file(group, 9, [[2, 3, 4, 5, 6, 7, 8, 9, 1]])
+        group_args = ["--group-file", group]
+    else:
+        group_args = ["--group", group]
+    code, out, err = run(capsys, ["--config", _config_file(tmp_path, degree_cap=8),
+                                  "lambda"] + group_args)
+    assert code == 3
+    assert out == ""
+    assert "exceeds" in err and " 8" in err
+
+
 def test_cli_import_does_not_load_sympy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

@@ -1,15 +1,18 @@
 """CLI `--json` output pinned byte for byte against committed golden files.
 
-The commands are the README examples, the benchmark's CLI command set and
-`analyze "[x^30, y^4]"`. To rewrite the goldens after an intended output
-change, run `PYTHONPATH=src python tests/test_golden.py --regenerate` from
-the repository root and check the result with `git diff`.
+The commands are the README examples, the benchmark's CLI command set,
+`analyze "[x^30, y^4]"` and two runs under a config file. To rewrite the
+goldens after an intended output change, run
+`PYTHONPATH=src python tests/test_golden.py --regenerate` from the
+repository root and check the result with `git diff`.
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -52,11 +55,25 @@ COMMANDS = {
                                    "--series", "trivial,block_kernel:5,full"],
     "lambda_wreath_a6_c2_series": ["lambda", "--group", "wreath(alternating(6),cyclic(2))",
                                    "--series", "trivial,block_kernel:6,full"],
+    # runs under the config file given in CONFIGS
+    "analyze_x1260_cayley_cap_200000": ["analyze", "x^1260"],
+    "bound_x30_d2_precision_120": ["bound", "x^30", "--d", "2"],
+}
+
+# the config object each of these entries writes to a file and passes with --config
+CONFIGS = {
+    "analyze_x1260_cayley_cap_200000": {"cayley_cap": 200_000},
+    "bound_x30_d2_precision_120": {"precision": 120},
 }
 
 
-def run_json(argv, table_path):
-    argv = [table_path if a == TABLE else a for a in argv] + ["--json"]
+def run_json(name, table_path):
+    argv = [table_path if a == TABLE else a for a in COMMANDS[name]] + ["--json"]
+    if name in CONFIGS:
+        config_path = os.path.join(os.path.dirname(table_path), name + ".config.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(CONFIGS[name], fh)
+        argv = ["--config", config_path] + argv
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -84,7 +101,16 @@ def test_cli_json_matches_golden(name, table_path, monkeypatch):
     monkeypatch.delenv("BURNSIDE_CONFIG", raising=False)
     with open(golden_path(name), encoding="utf-8") as fh:
         expected = fh.read()
-    assert run_json(COMMANDS[name], table_path) == expected
+    assert run_json(name, table_path) == expected
+
+
+def test_precision_changes_only_the_echoed_config(table_path, monkeypatch):
+    monkeypatch.delenv("BURNSIDE_CONFIG", raising=False)
+    high = json.loads(run_json("bound_x30_d2_precision_120", table_path))["result"]
+    with open(golden_path("bound_x30_d2"), encoding="utf-8") as fh:
+        base = json.load(fh)["result"]
+    base["config"]["precision"] = 120
+    assert high == base
 
 
 if __name__ == "__main__":
@@ -92,11 +118,9 @@ if __name__ == "__main__":
         raise SystemExit("usage: python tests/test_golden.py --regenerate")
     os.environ.pop("BURNSIDE_CONFIG", None)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    table = os.path.join(GOLDEN_DIR, "_alt6_table.tmp.json")
-    write_alt6_table(table)
-    try:
-        for name, argv in sorted(COMMANDS.items()):
+    with tempfile.TemporaryDirectory() as scratch:
+        table = os.path.join(scratch, "alt6.json")
+        write_alt6_table(table)
+        for name in sorted(COMMANDS):
             with open(golden_path(name), "w", encoding="utf-8") as fh:
-                fh.write(run_json(argv, table))
-    finally:
-        os.remove(table)
+                fh.write(run_json(name, table))
