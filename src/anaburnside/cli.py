@@ -167,7 +167,7 @@ def _cmd_lambda(args, config):
     elif Gi is None:
         raise CapExceeded("order %d exceeds cap %d" % (G.order(), config.cayley_cap))
     else:
-        report = nonsolvable_length(Gi, certify_cap=config.lambda_certify_cap)
+        report = nonsolvable_length(Gi)
     result = {"value": report.value, "exact": report.exact,
               "notes": list(report.notes),
               "factors": [{"description": f.description, "order": f.order,

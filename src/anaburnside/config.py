@@ -27,7 +27,7 @@ class Config:
     cayley_cap: int = 100_000        # max order for indexed-group normal-structure work
     exhaust_cap: int = 100_000_000   # max evaluations for exhaustive law checks
     degree_cap: int = 64             # max permutation degree
-    lambda_certify_cap: int = 5_000  # exhaustive series-minimality search below this order
+    lambda_certify_cap: int = 5_000  # read by nothing: nonsolvable length is always exact
     seed: int = 20260816             # seed for sampled modes, recorded in reports
     precision: int = 60              # working decimal digits for tower indexes
 

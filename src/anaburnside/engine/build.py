@@ -7,7 +7,7 @@ import re
 from ..catalog import factorize
 from ..config import Config
 from ..errors import CapExceeded
-from .indexed import TableGroup
+from .indexed import CyclicGroup, TableGroup
 from .perm import Permutation, PermGroup
 
 ALT_SYM_CAP = 16
@@ -91,15 +91,15 @@ class GaloisField:
 
 
 def cyclic(n, degree_cap=Config.degree_cap, cayley_cap=Config.cayley_cap):
-    """Cyclic group of order n, as permutations up to the degree cap, else as a table."""
+    """Cyclic group of order n, as permutations up to the degree cap, else as
+    the integers mod n."""
     if n < 1:
         raise ValueError("order must be at least 1")
     if n <= degree_cap:
         if n == 1:
             return PermGroup(1, [], degree_cap)
         return PermGroup(n, [Permutation([(i + 1) % n for i in range(n)])], degree_cap)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return TableGroup(table, cayley_cap)
+    return CyclicGroup(n, cayley_cap)
 
 
 def symmetric(m, degree_cap=Config.degree_cap):

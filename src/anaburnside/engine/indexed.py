@@ -5,12 +5,15 @@ exhaustive normal-structure work. A dense n x n table is only materialized
 for small orders; larger groups keep a compact per-element representation
 with the same interface.
 
-Besides scalar `mul` and `inv`, every substrate answers in whole arrays:
-`column(j)` is the right-multiplication column i -> i*j (restricted to the
-indexes `at` when given) and `inverses()` is i -> i^-1. Closures, conjugacy
-classes and coset labelling run as frontier-array operations over these.
-Columns are computed when asked for and never cached per element; only the
-single inverse array is kept.
+Each substrate defines one arithmetic method, `products(xs, ys)`: the
+paired right products xs[i]*ys[i] of two index arrays, where a scalar `ys`
+broadcasts. It also defines `_compute_inverses`, the array i -> i^-1, which
+is computed once and kept. Everything else is derived from these two in
+`IndexedGroup`: scalar `mul` and `inv`, the right-multiplication column
+`column(j)` (restricted to the indexes `at` when given), `conjugates`, and
+element orders from one power loop. Closures, conjugacy classes and coset
+labelling run as frontier-array operations over these. Columns are computed
+when asked for and never cached per element.
 """
 
 import numpy as np
@@ -113,15 +116,25 @@ class IndexedGroup:
     generator_indices = ()
     _inverse_array = None
 
-    def mul(self, i, j):
+    def products(self, xs, ys):
+        """Right products xs[i]*ys[i] of two index arrays of one length, as
+        an index array. A scalar `ys` broadcasts; scalars for both give a
+        scalar."""
         raise NotImplementedError
 
-    def inv(self, i):
+    def _compute_inverses(self):
         raise NotImplementedError
+
+    def mul(self, i, j):
+        return int(self.products(i, j))
+
+    def inv(self, i):
+        return int(self.inverses()[i])
 
     def column(self, j, at=None):
         """Right products i*j for every i (or every i in `at`), as an array."""
-        raise NotImplementedError
+        xs = np.arange(self.n) if at is None else np.asarray(at, dtype=np.intp)
+        return self.products(xs, j)
 
     def inverses(self):
         """The array i -> i^-1, computed once."""
@@ -129,13 +142,33 @@ class IndexedGroup:
             self._inverse_array = self._compute_inverses()
         return self._inverse_array
 
-    def _compute_inverses(self):
-        raise NotImplementedError
-
     def conjugates(self, xs, g):
         """g^-1 x g for every x in the index array `xs`."""
         inv = self.inverses()
-        return self.column(g, at=inv[self.column(g, at=inv[xs])])
+        return self.products(inv[self.products(inv[xs], g)], g)
+
+    def orders(self, xs=None):
+        """Order of each element of the index array `xs` (default: every
+        element), by one power loop x, x^2, ... over the elements whose
+        power is not yet the identity."""
+        xs = np.arange(self.n) if xs is None else np.asarray(xs, dtype=np.intp)
+        e = self.identity_index
+        out = np.ones(len(xs), dtype=np.int64)
+        alive = np.flatnonzero(xs != e)
+        power = xs[alive]
+        k = 1
+        while alive.size:
+            k += 1
+            if k > self.n:
+                raise RuntimeError("order computation exceeded group order")
+            power = self.products(power, xs[alive])
+            done = power == e
+            out[alive[done]] = k
+            alive, power = alive[~done], power[~done]
+        return out
+
+    def order_of(self, i):
+        return int(self.orders([i])[0])
 
     # Handle protocol shared with PermGroup, used by word evaluation.
     def identity(self):
@@ -149,16 +182,6 @@ class IndexedGroup:
 
     def elements(self):
         return range(self.n)
-
-    def order_of(self, i):
-        k = 1
-        x = i
-        while x != self.identity_index:
-            x = self.mul(x, i)
-            k += 1
-            if k > self.n:
-                raise RuntimeError("order computation exceeded group order")
-        return k
 
     def label(self, i):
         return str(i)
@@ -192,7 +215,7 @@ class TableGroup(IndexedGroup):
         if bad.size:
             raise ValueError("row/column %d is not a permutation" % bad[0])
         self.n = n
-        self.table = arr.astype(np.int32)
+        self.table = arr.astype(np.intp)
         ident = np.flatnonzero((arr == full).all(axis=1))
         if len(ident) != 1:
             raise ValueError("table has no two-sided identity")
@@ -217,15 +240,27 @@ class TableGroup(IndexedGroup):
                 x, y = bad[0]
                 raise ValueError("table not associative at (%d,%d,%d)" % (x, a, y))
 
-    def mul(self, i, j):
-        return int(self.table[i, j])
+    def products(self, xs, ys):
+        return self.table[xs, ys]
 
-    def inv(self, i):
-        return int(self._inverse_array[i])
 
-    def column(self, j, at=None):
-        col = self.table[:, j] if at is None else self.table[at, j]
-        return col.astype(np.intp)
+class CyclicGroup(IndexedGroup):
+    """The integers mod n under addition, with generator 1: the indexes of
+    the Cayley table (i + j) % n, without the table."""
+
+    def __init__(self, n, cap=Config.cayley_cap):
+        if n < 1:
+            raise ValueError("order must be at least 1")
+        if n > cap:
+            raise CapExceeded("order %d exceeds cap %d" % (n, cap))
+        self.n = n
+        self.generator_indices = (1,) if n > 1 else ()
+
+    def products(self, xs, ys):
+        return (xs + ys) % self.n
+
+    def _compute_inverses(self):
+        return -np.arange(self.n) % self.n
 
 
 class PermIndexedGroup(IndexedGroup):
@@ -244,7 +279,7 @@ class PermIndexedGroup(IndexedGroup):
         self.generator_indices = tuple(self.index_of(g) for g in group.generators)
 
     def _lookup(self, rows):
-        """Indexes of rows known to be group elements."""
+        """Indexes of rows known to be group elements (or the index of one)."""
         return self._sorted_keys.searchsorted(row_keys(rows))
 
     def index_of_rows(self, rows):
@@ -267,22 +302,14 @@ class PermIndexedGroup(IndexedGroup):
     def perm_of(self, i):
         return Permutation(int(p) for p in self.rows[i])
 
-    def mul(self, i, j):
-        row = self.rows[j].take(self.rows[i])
-        return int(self._sorted_keys.searchsorted(row.view(self._sorted_keys.dtype))[0])
-
-    def inv(self, i):
-        return int(self.inverses()[i])
-
-    def column(self, j, at=None):
-        rows = self.rows if at is None else self.rows[at]
-        return self._lookup(self.rows[j][rows])
+    def products(self, xs, ys):
+        # row i*j is row j composed after row i
+        if getattr(ys, "ndim", 0) == 0:
+            return self._lookup(self.rows[ys][self.rows[xs]])
+        return self._lookup(np.take_along_axis(self.rows[ys], self.rows[xs], axis=1))
 
     def _compute_inverses(self):
         return self._lookup(np.argsort(self.rows, axis=1).astype(self.rows.dtype))
-
-    def order_of(self, i):
-        return self.perm_of(i).order()
 
     def label(self, i):
         return repr(self.perm_of(i))
@@ -308,21 +335,11 @@ class SubgroupView(IndexedGroup):
             raise KeyError(g)
         return i if isinstance(i, np.ndarray) else int(i)
 
-    def mul(self, i, j):
-        return int(self._local[self.parent.mul(int(self.globals[i]), int(self.globals[j]))])
-
-    def inv(self, i):
-        return int(self._local[self.parent.inv(int(self.globals[i]))])
-
-    def column(self, j, at=None):
-        at = self.globals if at is None else self.globals[at]
-        return self._local[self.parent.column(int(self.globals[j]), at=at)]
+    def products(self, xs, ys):
+        return self._local[self.parent.products(self.globals[xs], self.globals[ys])]
 
     def _compute_inverses(self):
         return self._local[self.parent.inverses()[self.globals]]
-
-    def order_of(self, i):
-        return self.parent.order_of(int(self.globals[i]))
 
     def label(self, i):
         return self.parent.label(int(self.globals[i]))
@@ -366,15 +383,8 @@ class QuotientGroup(IndexedGroup):
             {int(self.labels[g]) for g in parent.generator_indices}
             - {self.identity_index})) or self._find_generators()
 
-    def mul(self, i, j):
-        return int(self.labels[self.parent.mul(int(self.reps[i]), int(self.reps[j]))])
-
-    def inv(self, i):
-        return int(self.labels[self.parent.inv(int(self.reps[i]))])
-
-    def column(self, j, at=None):
-        at = self.reps if at is None else self.reps[at]
-        return self.labels[self.parent.column(int(self.reps[j]), at=at)]
+    def products(self, xs, ys):
+        return self.labels[self.parent.products(self.reps[xs], self.reps[ys])]
 
     def _compute_inverses(self):
         return self.labels[self.parent.inverses()[self.reps]]
@@ -395,21 +405,26 @@ class PairGroup(IndexedGroup):
 
     Multiplication: (n1, h1)(n2, h2) = (n1 * action(h1, n2), h1 * h2).
     Element index is h * N.n + n. A trivial action gives the direct product.
+    The action is read once, at construction, into the table
+    A[h, x] = action(h, x); without an action A is a broadcast identity.
+    `action` itself is kept as given, None for the direct product.
     """
 
     def __init__(self, left, right, action=None):
         if left.n * right.n > Config.cayley_cap:
             raise CapExceeded("product order %d exceeds cap" % (left.n * right.n))
         self.left, self.right = left, right
-        self.action = action or (lambda h, x: x)
-        self._direct = action is None
-        self._acted = None
+        self.action = action
         self.n = left.n * right.n
         self.identity_index = right.identity_index * left.n + left.identity_index
         gens = [right.identity_index * left.n + g for g in left.generator_indices]
         gens += [h * left.n + left.identity_index for h in right.generator_indices]
         self.generator_indices = tuple(gens)
-        if action is not None:
+        if action is None:
+            self._acted = np.broadcast_to(np.arange(left.n), (right.n, left.n))
+        else:
+            self._acted = np.array([[action(h, x) for x in range(left.n)]
+                                    for h in range(right.n)], dtype=np.intp)
             self._check_action()
 
     def _check_action(self):
@@ -417,8 +432,7 @@ class PairGroup(IndexedGroup):
         Aut(N): A[e] = id and A[h*t] = A[h] o A[t] for each generator t of H,
         and A[h][x*g] = A[h][x] * A[h][g] for each generator g of N. The t and
         g passing are closed under products, as in Light's test."""
-        left, right = self.left, self.right
-        A = self._action_table()
+        left, right, A = self.left, self.right, self._acted
         if A.min() < 0 or A.max() >= left.n:
             raise ValueError("action does not map N into itself")
         if (A[:, left.identity_index] != left.identity_index).any():
@@ -427,7 +441,7 @@ class PairGroup(IndexedGroup):
                 (A[right.column(t)] != A[:, A[t]]).any() for t in right.generator_indices):
             raise ValueError("action is not a left H-action")
         for g in left.generator_indices:
-            moved = _products(left, A.ravel(), np.repeat(A[:, g], left.n))
+            moved = left.products(A.ravel(), np.repeat(A[:, g], left.n))
             if (A[:, left.column(g)].ravel() != moved).any():
                 raise ValueError("action is not by homomorphisms")
 
@@ -437,56 +451,20 @@ class PairGroup(IndexedGroup):
     def join(self, npart, hpart):
         return hpart * self.left.n + npart
 
-    def mul(self, i, j):
-        n1, h1 = self.split(i)
-        n2, h2 = self.split(j)
-        return self.join(self.left.mul(n1, self.action(h1, n2)),
-                         self.right.mul(h1, h2))
-
-    def inv(self, i):
-        n1, h1 = self.split(i)
-        hinv = self.right.inv(h1)
-        return self.join(self.action(hinv, self.left.inv(n1)), hinv)
-
-    def column(self, j, at=None):
-        at = np.arange(self.n) if at is None else np.asarray(at, dtype=np.intp)
-        n2, h2 = self.split(j)
-        n1, h1 = self.split(at)
-        if self._direct:
-            npart = self.left.column(n2, at=n1)
-        else:
-            npart = _products(self.left, n1, self._action_table()[h1, n2])
-        return self.join(npart, self.right.column(h2, at=h1))
+    def products(self, xs, ys):
+        n1, h1 = self.split(xs)
+        n2, h2 = self.split(ys)
+        return self.join(self.left.products(n1, self._acted[h1, n2]),
+                         self.right.products(h1, h2))
 
     def _compute_inverses(self):
         n1, h1 = self.split(np.arange(self.n))
         hinv = self.right.inverses()[h1]
-        ninv = self.left.inverses()[n1]
-        if not self._direct:
-            ninv = self._action_table()[hinv, ninv]
-        return self.join(ninv, hinv)
-
-    def _action_table(self):
-        """action(h, x) for every h and x, as one array computed once."""
-        if self._acted is None:
-            self._acted = np.array([[self.action(h, x) for x in range(self.left.n)]
-                                    for h in range(self.right.n)], dtype=np.intp)
-        return self._acted
+        return self.join(self._acted[hinv, self.left.inverses()[n1]], hinv)
 
     def label(self, i):
         n1, h1 = self.split(i)
         return "(%s, %s)" % (self.left.label(n1), self.right.label(h1))
-
-
-def _products(G, xs, ys):
-    """x*y for paired index arrays xs and ys."""
-    if isinstance(G, TableGroup):
-        return G.table[xs, ys].astype(np.intp)
-    out = np.empty(len(xs), dtype=np.intp)
-    for y in _distinct(ys).tolist():
-        sel = ys == y
-        out[sel] = G.column(y, at=xs[sel])
-    return out
 
 
 def as_indexed(group, cap=Config.cayley_cap):

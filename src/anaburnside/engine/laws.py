@@ -9,7 +9,7 @@ import numpy as np
 from ..config import Config
 from ..errors import CapExceeded
 from ..words import Word, evaluate
-from .indexed import DENSE_CAP, PermIndexedGroup, TableGroup, as_indexed, densify
+from .indexed import PermIndexedGroup, as_indexed
 from .perm import PermGroup
 from .structure import is_simple, subgroup_closure
 
@@ -49,18 +49,17 @@ def _power_rows(rows, e):
 
 
 def _power_indexes(G, e):
-    """Index map i -> i**e for a table-backed group, by square-and-multiply."""
-    table = G.table
+    """Index map i -> i**e, by square-and-multiply over `products`."""
     base = np.arange(G.n) if e >= 0 else G.inverses()
-    result = np.full(G.n, G.identity_index, dtype=np.int64)
+    result = np.full(G.n, G.identity_index, dtype=np.intp)
     e = abs(e)
     while e:
         if e & 1:
-            result = table[result, base]
+            result = G.products(result, base)
         e >>= 1
         if e:
-            base = table[base, base]
-    return result.astype(np.int64)
+            base = G.products(base, base)
+    return result
 
 
 def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
@@ -70,7 +69,9 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
     Exhaustive mode enumerates |G|^rank assignments (at most `exhaust_cap`,
     on a group of order at most `cayley_cap` once indexed) and returns a
     concrete witness on failure; assignments run in row-major order of the
-    element indexing. Sampled mode is a seeded spot check.
+    element indexing. A permutation group composes its element rows
+    directly; every other substrate goes through its `products`. Sampled
+    mode is a seeded spot check.
     """
     if mode == "sampled":
         return _is_law_sampled(word, G, samples, seed)
@@ -82,13 +83,7 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
     Gi = as_indexed(G, cap=cayley_cap)
     if isinstance(Gi, PermIndexedGroup):
         return _is_law_perm(word, Gi)
-    if not isinstance(Gi, TableGroup) and Gi.n <= DENSE_CAP:
-        Gi = densify(Gi)
-    if isinstance(Gi, TableGroup):
-        return _is_law_table(word, Gi)
-    if Gi.n ** rank > 1_000_000:
-        raise CapExceeded("exhaustive check on this substrate is capped at 10^6 assignments")
-    return _is_law_generic(word, Gi)
+    return _is_law_indexed(word, Gi)
 
 
 def _assignment_columns(total, start, stop, n, rank):
@@ -126,8 +121,7 @@ def _is_law_perm(word, Gi):
     return LawVerdict(True, None, "exhaustive", total)
 
 
-def _is_law_table(word, Gi):
-    table = Gi.table
+def _is_law_indexed(word, Gi):
     n = Gi.n
     rank = word.rank
     powers = {}
@@ -138,31 +132,14 @@ def _is_law_table(word, Gi):
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         cols = _assignment_columns(total, start, stop, n, rank)
-        state = np.full(stop - start, Gi.identity_index, dtype=np.int64)
+        state = np.full(stop - start, Gi.identity_index, dtype=np.intp)
         for v, e in word.syllables:
-            state = table[state, powers[(v, e)][cols[v - 1]]]
+            state = Gi.products(state, powers[(v, e)][cols[v - 1]])
         bad = np.nonzero(state != Gi.identity_index)[0]
         if len(bad):
             at = int(bad[0])
             witness = tuple(int(cols[v][at]) for v in range(rank))
             return LawVerdict(False, witness, "exhaustive", start + at + 1)
-    return LawVerdict(True, None, "exhaustive", total)
-
-
-def _is_law_generic(word, Gi):
-    rank, n = word.rank, Gi.n
-    total = n ** rank
-    checked = 0
-    for flat in range(total):
-        assignment = []
-        rem = flat
-        for v in range(rank):
-            stride = n ** (rank - 1 - v)
-            assignment.append((rem // stride) % n)
-        value = evaluate(word, tuple(assignment), Gi)
-        checked += 1
-        if value != Gi.identity_index:
-            return LawVerdict(False, tuple(assignment), "exhaustive", checked)
     return LawVerdict(True, None, "exhaustive", total)
 
 
@@ -189,11 +166,7 @@ def group_exponent(G, cap=1_000_000):
     n = G.order()
     if n > cap:
         raise CapExceeded("order %d exceeds exponent enumeration cap %d" % (n, cap))
-    Gi = as_indexed(G, cap=cap)
-    exp = 1
-    for i in range(Gi.n):
-        exp = math.lcm(exp, Gi.order_of(i))
-    return exp
+    return math.lcm(*set(as_indexed(G, cap=cap).orders().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +276,7 @@ def count_generating_tuples(G, d, exhaust_cap=Config.exhaust_cap):
     if n ** d * n > _TUPLE_WORK_CAP:
         raise CapExceeded("%d^%d closure checks are impractical" % (n, d))
     if d == 1:
-        return sum(1 for i in range(n) if Gi.order_of(i) == n)
+        return int(np.count_nonzero(Gi.orders() == n))
     count = 0
     tup = [0] * d
 
@@ -337,12 +310,11 @@ def automorphism_count(G):
     n = Gi.n
     if n == 1:
         return 1
-    orders_all = [Gi.order_of(i) for i in range(n)]
-    if n in orders_all:
+    orders = Gi.orders().tolist()
+    if n in orders:
         # cyclic: automorphisms send a generator to any generator
-        return orders_all.count(n)
+        return orders.count(n)
     a, b = _generating_pair(Gi)
-    orders = orders_all
     oa, ob, oab = orders[a], orders[b], orders[Gi.mul(a, b)]
     # breadth-first spanning data: each element as (previous, generator)
     parent = {Gi.identity_index: None}

@@ -10,8 +10,9 @@ from ..errors import CapExceeded
 
 
 def row_keys(rows):
-    """One key per row of a 2-D array of `element_rows` rows: the row's bytes."""
-    return np.ascontiguousarray(rows).view((np.void, rows.shape[1] * rows.itemsize))[:, 0]
+    """One key per row of `element_rows` rows (or a key for a single row):
+    the row's bytes."""
+    return np.ascontiguousarray(rows).view((np.void, rows.shape[-1] * rows.itemsize))[..., 0]
 
 
 class Permutation:

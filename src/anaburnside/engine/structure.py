@@ -6,13 +6,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..catalog import factorize, is_prime_power
-from ..config import Config
-from ..errors import CapExceeded
 from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
 from .perm import PermGroup, Permutation
 
 SEMISIMPLE_INDEX_CAP = 30_000
-_LATTICE_CAP = 512
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +115,10 @@ def _minimal_normals_with_gens(G):
     least = _class_least(G)
     classes = np.flatnonzero(least == np.arange(G.n))  # each class's least element
     sizes = np.bincount(least)[classes]
-    for rep, size in zip(classes.tolist(), sizes.tolist()):
+    orders = G.orders(classes)
+    for rep, size, order in zip(classes.tolist(), sizes.tolist(), orders.tolist()):
         if rep == e:
             continue
-        order = G.order_of(rep)
         if factorize(order) == ((order, 1),):  # prime order
             reps.append((size, rep))
     reps.sort()
@@ -387,31 +384,20 @@ class LambdaReport:
         return "lambda %s %d" % (marker, self.value)
 
 
-def nonsolvable_length(G, certify_cap=Config.lambda_certify_cap):
-    """Minimal number of nonsolvable layers in a normal series.
+def nonsolvable_length(G):
+    """Minimal number of nonsolvable layers in a normal series (0 iff solvable).
 
-    Values 0 and 1 are exact by definition (0 iff solvable). Larger values
-    are certified by an exhaustive normal-subgroup search only below
-    `certify_cap`; otherwise the canonical radical-socle value is reported
-    as an upper bound.
+    The value is that of the radical-socle series: the solvable radical,
+    then the socle of the quotient by it, and so on up. That series is a
+    shortest one, since each of its terms is the largest possible
+    (Khukhro & Shumyatsky, "Nonsoluble and non-p-soluble length of finite
+    groups", 2015), so the value is exact. A value of 2 or more also lies out
+    of reach of any indexed group: it needs G/R/Soc nonsolvable inside
+    Out(T) wr Sym(k), and Out(T) is solvable, so k >= 5 and
+    |G| >= 60^6, about 4.7 * 10^10.
     """
-    Gi = as_indexed(G)
-    value, factors = _lambda_rec(Gi)
-    notes = []
-    exact = True
-    if value >= 2:
-        if Gi.n <= certify_cap:
-            best = _lambda_exhaustive(Gi)
-            if best < value:
-                value = best
-                notes.append("exhaustive search found a shorter series")
-            notes.append("certified by exhaustive normal-subgroup search")
-        else:
-            exact = False
-            notes.append("order %d exceeds certify cap %d; value is an upper bound"
-                         % (Gi.n, certify_cap))
-    return LambdaReport(value=value, exact=exact, factors=tuple(factors),
-                        notes=tuple(notes))
+    value, factors = _lambda_rec(as_indexed(G))
+    return LambdaReport(value=value, exact=True, factors=tuple(factors))
 
 
 def _lambda_rec(Q):
@@ -432,38 +418,6 @@ def _lambda_rec(Q):
                                 "product of nonabelian minimal normal subgroups"))
     upper_value, upper_factors = _lambda_rec(layer)
     return 1 + upper_value, factors + upper_factors
-
-
-def _lambda_exhaustive(G):
-    """Shortest alternating series over the full normal subgroup lattice."""
-    order = sorted(_all_normal_subgroups(G),
-                   key=lambda s: (_size(s), np.flatnonzero(s).tolist()))
-    sizes = [_size(s) for s in order]
-    best = {0: 0}  # by position in `order`; the trivial subgroup comes first
-    for m, M in enumerate(order):
-        for k, N in enumerate(order):
-            if sizes[k] >= sizes[m] or k not in best or (N & ~M).any():
-                continue
-            w = _factor_weight(G, M, N)
-            if w is None:
-                continue
-            cand = best[k] + w
-            if cand < best.get(m, 1 << 30):
-                best[m] = cand
-    full = len(order) - 1
-    if sizes[full] != G.n or full not in best:
-        raise RuntimeError("no alternating series found; lattice incomplete")
-    return best[full]
-
-
-def _factor_weight(G, M, N):
-    V = SubgroupView(G, np.flatnonzero(M))
-    Q = QuotientGroup(V, V.to_local(np.flatnonzero(N)))
-    if is_solvable(Q):
-        return 0
-    if is_semisimple(Q):
-        return 1
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -595,36 +549,3 @@ def verify_series_lambda(G, descriptors):
         value += 1
     return LambdaReport(value=value, exact=False, factors=tuple(factors),
                         notes=("verified series gives an upper bound",))
-
-
-def _all_normal_subgroups(G):
-    """Every normal subgroup, as masks: class closures, closed under pairwise join."""
-    closures = {}  # packed mask -> (mask, generators), in order of discovery
-
-    def add(S, gens):
-        key = np.packbits(S).tobytes()
-        if key in closures:
-            return False
-        closures[key] = (S, gens)
-        return True
-
-    add(_mask(G, [G.identity_index]), ())
-    add(np.ones(G.n, dtype=bool), tuple(G.generator_indices))
-    least = _class_least(G)
-    for rep in np.flatnonzero(least == np.arange(G.n)).tolist():
-        if rep != G.identity_index:
-            add(*normal_closure_indexed(G, [rep]))
-    frontier = list(closures.values())
-    while frontier:
-        if len(closures) > _LATTICE_CAP:
-            raise CapExceeded("normal subgroup lattice exceeds %d" % _LATTICE_CAP)
-        new = []
-        for A, gens_a in frontier:
-            for B, gens_b in list(closures.values()):
-                if not (A & ~B).any() or not (B & ~A).any():
-                    continue
-                S, gens = normal_closure_indexed(G, list(gens_a) + list(gens_b))
-                if add(S, gens):
-                    new.append((S, gens))
-        frontier = new
-    return [S for S, _ in closures.values()]

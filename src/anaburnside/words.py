@@ -274,6 +274,17 @@ def evaluate(w: Word, assignment, group):
         base = assignment[gen - 1]
         if exp < 0:
             base = group.inv(base)
-        for _ in range(abs(exp)):
-            result = group.mul(result, base)
+        result = _times_power(group, result, base, abs(exp))
+    return result
+
+
+def _times_power(group, result, x, e):
+    """result * x**e by square-and-multiply: the powers of x commute, so
+    result takes x^(2^k) for each set bit k of e."""
+    while e:
+        if e & 1:
+            result = group.mul(result, x)
+        e >>= 1
+        if e:
+            x = group.mul(x, x)
     return result

@@ -1,25 +1,104 @@
 """Scalar per-element reference algorithms for the indexed substrates.
 
 These are the element-at-a-time loops the array engine replaced, kept as
-the oracle for the differential tests: every product goes through scalar
-`mul` and `inv`, and every set is a Python set.
+the oracle for the differential tests. Every product goes through `mul`
+below, which multiplies from each substrate's definition (permutation
+composition, table entries, a subgroup's parent elements, a quotient's
+cosets named by their least elements, the pair formula with the given
+action), never through the substrate's own arithmetic; every set is a
+Python set.
 """
 
+import bisect
+import functools
+
 from anaburnside.catalog import factorize
-from anaburnside.engine import PermGroup, Permutation
+from anaburnside.engine import (CyclicGroup, PairGroup, PermGroup, PermIndexedGroup,
+                                Permutation, QuotientGroup, SubgroupView, TableGroup)
+
+
+def _pair_action(G):
+    return G.action or (lambda h, x: x)
+
+
+@functools.lru_cache(maxsize=None)
+def _normal(Q):
+    """The normal subgroup of a quotient: the parent elements labelled
+    like the identity."""
+    P = Q.parent
+    return tuple(g for g in range(P.n) if Q.labels[g] == Q.labels[P.identity_index])
+
+
+def _coset_id(Q, g):
+    """Id of the coset N*g: the position of its least element among the
+    quotient's representatives, which ascend."""
+    least = min(mul(Q.parent, s, g) for s in _normal(Q))
+    k = bisect.bisect_left(Q.reps.tolist(), least)
+    assert Q.reps[k] == least
+    return k
+
+
+def mul(G, i, j):
+    """i*j in the indexed group G, from its definition."""
+    if isinstance(G, PermIndexedGroup):
+        return G.index_of(G.perm_of(i) * G.perm_of(j))
+    if isinstance(G, TableGroup):
+        return int(G.table[i][j])
+    if isinstance(G, CyclicGroup):
+        return (i + j) % G.n
+    if isinstance(G, SubgroupView):
+        return G.to_local(mul(G.parent, int(G.globals[i]), int(G.globals[j])))
+    if isinstance(G, QuotientGroup):
+        return _coset_id(G, mul(G.parent, int(G.reps[i]), int(G.reps[j])))
+    if isinstance(G, PairGroup):
+        n1, h1 = i % G.left.n, i // G.left.n
+        n2, h2 = j % G.left.n, j // G.left.n
+        npart = mul(G.left, n1, _pair_action(G)(h1, n2))
+        return mul(G.right, h1, h2) * G.left.n + npart
+    raise TypeError(type(G).__name__)
+
+
+def inv(G, i):
+    """i^-1 in the indexed group G, from its definition."""
+    if isinstance(G, PermIndexedGroup):
+        return G.index_of(G.perm_of(i).inverse())
+    if isinstance(G, TableGroup):
+        return [int(x) for x in G.table[i]].index(G.identity_index)
+    if isinstance(G, CyclicGroup):
+        return -i % G.n
+    if isinstance(G, SubgroupView):
+        return G.to_local(inv(G.parent, int(G.globals[i])))
+    if isinstance(G, QuotientGroup):
+        return _coset_id(G, inv(G.parent, int(G.reps[i])))
+    if isinstance(G, PairGroup):
+        n1, h1 = i % G.left.n, i // G.left.n
+        hinv = inv(G.right, h1)
+        return hinv * G.left.n + _pair_action(G)(hinv, inv(G.left, n1))
+    raise TypeError(type(G).__name__)
+
+
+def order_of(G, i):
+    """Least k >= 1 with i^k the identity, by repeated products."""
+    k, x = 1, i
+    while x != G.identity_index:
+        x = mul(G, x, i)
+        k += 1
+        if k > G.n:
+            raise RuntimeError("no power of %d is the identity" % i)
+    return k
 
 
 def column(G, j):
-    return [G.mul(i, j) for i in range(G.n)]
+    return [mul(G, i, j) for i in range(G.n)]
 
 
 def inverses(G):
-    return [G.inv(i) for i in range(G.n)]
+    return [inv(G, i) for i in range(G.n)]
 
 
 def conjugate(G, i, g):
     """g^-1 i g by scalar products."""
-    return G.mul(G.mul(G.inv(g), i), g)
+    return mul(G, mul(G, inv(G, g), i), g)
 
 
 def subgroup_closure(G, gens, cap=None):
@@ -31,7 +110,7 @@ def subgroup_closure(G, gens, cap=None):
         new = []
         for x in frontier:
             for g in gens:
-                y = G.mul(x, g)
+                y = mul(G, x, g)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -108,7 +187,7 @@ def coset_labels(parent, normal_indices):
         cid = len(reps)
         reps.append(i)
         for s in normal:
-            labels[parent.mul(s, i)] = cid
+            labels[mul(parent, s, i)] = cid
     if len(reps) * len(normal) != parent.n:
         return "cosets do not partition the group"
     ident = labels[parent.identity_index]
@@ -116,9 +195,9 @@ def coset_labels(parent, normal_indices):
         return "indices are not closed under multiplication"
     normal_set = frozenset(normal)
     for g in parent.generator_indices:
-        ginv = parent.inv(g)
+        ginv = inv(parent, g)
         for s in normal:
-            if parent.mul(parent.mul(g, s), ginv) not in normal_set:
+            if mul(parent, mul(parent, g, s), ginv) not in normal_set:
                 return "subgroup is not normal"
     return labels, reps
 
@@ -133,7 +212,7 @@ def minimal_normal_subgroups(G):
         rep = cls[0]
         if rep == e:
             continue
-        order = G.order_of(rep)
+        order = order_of(G, rep)
         if factorize(order) == ((order, 1),):
             reps.append((len(cls), rep))
     reps.sort()
@@ -183,12 +262,13 @@ def table_error(table):
 
 
 def power_indexes(G, e):
+    """i -> i**e by repeated products, |e| taken modulo the order of i."""
     out = []
     for i in range(G.n):
         x = G.identity_index
-        y = i if e >= 0 else G.inv(i)
-        for _ in range(abs(e)):
-            x = G.mul(x, y)
+        y = i if e >= 0 else inv(G, i)
+        for _ in range(abs(e) % order_of(G, i)):
+            x = mul(G, x, y)
         out.append(x)
     return out
 

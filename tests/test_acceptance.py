@@ -188,8 +188,12 @@ def test_criterion_05_main_bound_height(capsys):
         assert r1.to_dict() == r2.to_dict()
         cmd = [sys.executable, "-m", "anaburnside.cli",
                "bound", "x^30", "--d", "2", "--json"]
-        out1 = subprocess.run(cmd, capture_output=True, check=True).stdout
-        out2 = subprocess.run(cmd, capture_output=True, check=True).stdout
+        # the child imports the package from this checkout's src/
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out1 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+        out2 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
         assert out1 == out2
         assert json.loads(out1)["result"]["main_bound_height"] == 63
 

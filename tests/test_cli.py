@@ -256,3 +256,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [100, 500])
+def test_cyclic_matches_its_cayley_table(capsys, tmp_path, n):
+    # above the degree cap cyclic(n) is the integers mod n, indexed like the
+    # table (i + j) % n: composition factors, lambda and law checks agree
+    path = tmp_path / "cyclic.json"
+    write_table_file(path, [[(i + j) % n for j in range(n)] for i in range(n)])
+    sources = (["--group", "cyclic(%d)" % n], ["--group-file", str(path)])
+    commands = [["lambda"]] + [["lawcheck", w] for w in
+                               ("x^%d" % n, "x^%d" % (n // 2), "[x,y]", "x^3 y^-7 x^2")]
+    for command in commands:
+        results = []
+        for source in sources:
+            code, out, _ = run(capsys, command + source + ["--json"])
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1], command

@@ -1,8 +1,11 @@
 """Indexed group substrates: tables, permutation indexes, views, quotients, pairs."""
 
+import tracemalloc
+
 import pytest
 
 from anaburnside.engine import (
+    CyclicGroup,
     PairGroup,
     PermGroup,
     PermIndexedGroup,
@@ -14,6 +17,7 @@ from anaburnside.engine import (
     as_indexed,
     cyclic,
     densify,
+    make_group,
     symmetric,
 )
 from anaburnside.engine.structure import subgroup_closure
@@ -222,3 +226,17 @@ def test_sl25_table_group():
     assert orders == [1, 2, 3, 4, 5, 6, 10]
     # Unique element of order 2: the center -I.
     assert sum(1 for i in range(g.n) if g.order_of(i) == 2) == 1
+
+
+def test_cyclic_above_the_degree_cap_allocates_no_table():
+    tracemalloc.start()
+    try:
+        g = make_group("cyclic(20000)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(g, CyclicGroup) and g.order() == 20000
+    assert g.generator_indices == (1,) and g.identity_index == 0
+    assert peak < 5_000_000
+    with pytest.raises(CapExceeded, match="order 100001 exceeds cap 100000"):
+        make_group("cyclic(100001)")

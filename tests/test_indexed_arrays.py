@@ -1,8 +1,8 @@
 """Differential tests: the array engine against the scalar per-element loops.
 
-Every substrate (permutation, table, quotient, subgroup view, pair) is
-checked on small groups against `scalar_oracle`, which multiplies one
-element at a time through `mul` and `inv`.
+Every substrate (permutation, table, cyclic, quotient, subgroup view,
+pair) is checked on small groups against `scalar_oracle`, which multiplies
+one element at a time from each substrate's definition.
 """
 
 import functools
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import scalar_oracle as oracle
 from anaburnside.engine import (
+    CyclicGroup,
     PairGroup,
     PermGroup,
     PermIndexedGroup,
@@ -96,6 +97,7 @@ BUILDERS = {
     "table_c12": lambda: _cyclic_table(12),
     "table_s4_relabelled": lambda: _relabelled_table(symmetric(4), 7),
     "table_sl25": sl25_group,
+    "cyclic_20": lambda: CyclicGroup(20),
     "quotient_s4_v4": _klein_quotient,
     "quotient_sl25_center": _sl25_mod_center,
     "quotient_of_view": _quotient_of_view,
@@ -119,6 +121,27 @@ def elements(G, max_size=3):
     return st.lists(st.integers(0, G.n - 1), max_size=max_size)
 
 
+def test_relabelled_table_moves_the_identity():
+    assert substrate("table_s4_relabelled").identity_index != 0
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_products_match_scalar_oracle(name, seed, size):
+    # random index arrays from a drawn seed: shrinking toward index 0, often
+    # the identity, would leave operand-order faults unseen
+    G = substrate(name)
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.integers(0, G.n, size), rng.integers(0, G.n, size)
+    assert G.products(xs, ys).tolist() == \
+        [oracle.mul(G, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    j = int(ys[0])
+    assert G.products(xs, j).tolist() == [oracle.mul(G, x, j) for x in xs.tolist()]
+    i = int(xs[0])
+    assert (G.mul(i, j), G.inv(i)) == (oracle.mul(G, i, j), oracle.inv(G, i))
+
+
 @FAST
 @given(names, st.data())
 def test_columns_and_inverses_match_scalar_products(name, data):
@@ -126,8 +149,19 @@ def test_columns_and_inverses_match_scalar_products(name, data):
     j = data.draw(st.integers(0, G.n - 1))
     assert G.column(j).tolist() == oracle.column(G, j)
     at = data.draw(elements(G, 8))
-    assert G.column(j, at=np.array(at, dtype=np.intp)).tolist() == [G.mul(i, j) for i in at]
+    assert G.column(j, at=np.array(at, dtype=np.intp)).tolist() == \
+        [oracle.mul(G, i, j) for i in at]
     assert G.inverses().tolist() == oracle.inverses(G)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_orders_match_scalar_power_loop(name):
+    G = substrate(name)
+    expected = [oracle.order_of(G, i) for i in range(G.n)]
+    assert G.orders().tolist() == expected
+    some = list(range(G.n - 1, -1, -3))
+    assert G.orders(some).tolist() == [expected[i] for i in some]
+    assert [G.order_of(i) for i in some] == [expected[i] for i in some]
 
 
 @FAST
@@ -232,13 +266,12 @@ def test_quotient_errors_match_scalar(name, data):
 def test_densify_builds_the_scalar_table(name):
     G = substrate(name)
     T = densify(G)
-    assert T.table.tolist() == [[G.mul(i, j) for j in range(G.n)] for i in range(G.n)]
+    assert T.table.T.tolist() == [oracle.column(G, j) for j in range(G.n)]
     assert T.identity_index == G.identity_index
 
 
 @FAST
-@given(st.sampled_from(["table_c12", "table_s4_relabelled", "table_sl25"]),
-       st.integers(-130, 130) | st.sampled_from([420, -420, 0]))
+@given(names, st.integers(-130, 130) | st.sampled_from([420, -420, 0]))
 def test_power_indexes_match_repeated_products(name, e):
     G = substrate(name)
     assert _power_indexes(G, e).tolist() == oracle.power_indexes(G, e)

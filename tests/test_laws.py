@@ -1,12 +1,18 @@
 """Law checking, exponents, shortest laws, generating tuples, automorphisms."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anaburnside.engine import (
+    QuotientGroup,
     alternating,
     automorphism_count,
     count_generating_tuples,
     cyclic,
+    densify,
     dihedral,
     group_exponent,
     is_law,
@@ -17,7 +23,7 @@ from anaburnside.engine import (
     symmetric,
 )
 from anaburnside.errors import CapExceeded
-from anaburnside.words import evaluate, parse_word, to_string
+from anaburnside.words import Word, evaluate, parse_word, to_string
 
 from groupfiles import sl25_group
 
@@ -147,3 +153,33 @@ def test_max_d_generated_power():
     # 2280 generating pairs / 120 automorphisms = 19 independent images.
     assert max_d_generated_power(alternating(5), 2) == 19
     assert max_d_generated_power(alternating(5), 1) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _a5_substrates():
+    """Alt(5) three ways: permutations, their Cayley table (same indexes), and
+    SL(2,5) modulo its centre, a quotient of a table with indexes of its own."""
+    a5 = alternating(5)
+    sl25 = sl25_group()
+    psl25 = QuotientGroup(sl25, [i for i in range(sl25.n) if sl25.order_of(i) <= 2])
+    return a5, densify(a5), psl25
+
+
+@st.composite
+def _short_words(draw):
+    rank = draw(st.integers(1, 2))
+    letters = draw(st.lists(st.tuples(st.integers(1, rank), st.sampled_from([1, -1])),
+                            min_size=1, max_size=8))
+    return Word.make(tuple(letters), rank=rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_words())
+def test_is_law_agrees_across_substrates(w):
+    groups = _a5_substrates()
+    verdicts = [is_law(w, G) for G in groups]
+    assert len({v.holds for v in verdicts}) == 1
+    assert verdicts[0].checked == verdicts[1].checked
+    for G, v in zip(groups, verdicts):
+        if not v.holds:
+            assert evaluate(w, v.witness, G) != G.identity()

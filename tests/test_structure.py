@@ -145,7 +145,7 @@ def test_nonsolvable_length_zero_and_one():
 def test_nonsolvable_length_wreath_by_cyclic():
     # Semisimple base Alt(5) x Alt(5), solvable top C_2: one layer suffices.
     w = wreath(alternating(5), cyclic(2))
-    r = nonsolvable_length(w, certify_cap=5000)
+    r = nonsolvable_length(w)
     assert r.value == 1
     assert not is_anabelian(as_indexed(w, cap=8000))
 

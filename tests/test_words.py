@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from anaburnside.engine import alternating, as_indexed, is_law
 from anaburnside.errors import WordSyntaxError
 from anaburnside.words import (
     Word,
@@ -219,3 +220,25 @@ def test_print_parse_roundtrip():
         assert parse_word(to_string(w)) == w
     assert to_string(parse_word("x5")) == "x5"
     assert to_string(parse_word("[x^5,y]")) == "x^-5 y^-1 x^5 y"
+
+
+def test_evaluate_huge_exponent_by_squaring():
+    # x^1000000007 equals x to that exponent reduced modulo the order of x;
+    # by repeated products this would take 10^9 multiplications per element
+    big = 1000000007
+    w, w_inv = parse_word("x^%d" % big), parse_word("x^-%d" % big)
+    a5 = alternating(5)
+    for g in a5.elements():
+        expected = a5.identity()
+        for _ in range(big % g.order()):
+            expected = expected * g
+        assert evaluate(w, (g,), a5) == expected
+        assert evaluate(w_inv, (g,), a5) == expected.inverse()
+    Gi = as_indexed(a5)
+    for i in range(Gi.n):
+        expected = Gi.identity()
+        for _ in range(big % Gi.order_of(i)):
+            expected = Gi.mul(expected, i)
+        assert evaluate(w, (i,), Gi) == expected
+    # 10^9 + 7 is prime, so Alt(5) (exponent 30) does not satisfy the word
+    assert not is_law(w, a5, mode="sampled", samples=16, seed=1).holds
