@@ -14,9 +14,9 @@ from mpmath import mp
 
 from .catalog import FAMILY_ORDER, admissible_q_values, b_value, family_ranks
 from .config import Config
-from .towers import (TowerNumber, _add_t, big_E, cmp_t, exp_t, from_real,
-                     get_precision, ln_t, mul_t, parse_tower, pow_t,
-                     render_tower, tower, working_precision)
+from .towers import (CHEAP_MAG, TowerNumber, _add_t, _real, big_E, cmp_t,
+                     exp_t, from_real, get_precision, ln_t, mul_t, parse_tower,
+                     pow_t, render_tower, tower, working_precision)
 from .words import Word, word_length
 
 _ONE = tower(0, 1)
@@ -76,14 +76,54 @@ def _largest_admissible_q(length: int, exponent: float) -> int:
     """Largest q with q**exponent <= length, by exact integer comparison.
 
     Float powers round cases such as 64**(1/3) below the true value, which
-    would silently drop a grid point, so the cutoff is probed directly.
+    would silently drop a grid point, so a root estimate only says where to
+    start: the cutoff itself is found by stepping with the exact predicate.
     """
-    q = 1
     with mp.workdps(get_precision()):
         limit = mp.mpf(length) * (1 + mp.mpf(10) ** (20 - get_precision()))
-        while mp.power(q + 1, exponent) <= limit:
+
+        def fits(q):
+            return mp.power(q, exponent) <= limit
+
+        q = max(1, int(mp.exp(mp.ln(length) / exponent)))
+        while q > 1 and not fits(q):
+            q -= 1
+        while fits(q + 1):
             q += 1
     return q
+
+
+def _grid_term(family: str, k: int, q: int, d: int) -> TowerNumber:
+    """One grid factor (q^b)^((q^b)^d), b = b(family, k), in tower arithmetic."""
+    qb = pow_t(from_real(q), b_value(family, k))
+    return exp_t(mul_t(pow_t(qb, d), ln_t(qb)))
+
+
+def _family_grid(p: BoundParams, family: str) -> TowerNumber:
+    """Product of the family's grid factors over ranks k with q^(c1*k) <= l.
+
+    ln of each factor is (q^b)^d * b * ln q, and those logarithms are summed
+    as one real while both the sum and the next term stay below CHEAP_MAG
+    magnitude. In that regime every tower product of the factor-by-factor
+    fold takes its exact branch, so the sum is the same value, canonicalized
+    once instead of through several tower operations per factor. From the
+    first term outside it the fold runs factor by factor, so the inexact
+    flags fall where they always did.
+    """
+    log_sum = mp.mpf(0)
+    product = None
+    for k in family_ranks(family, _grid_rank_cap(p)):
+        b = b_value(family, k)
+        q_cap = _largest_admissible_q(p.length, p.config.c1 * k)
+        for q in admissible_q_values(family, q_cap):
+            if product is None:
+                log_term = mp.power(q, b * p.d) * b * mp.ln(q)
+                if mp.mag(log_sum) <= CHEAP_MAG and mp.mag(log_term) <= CHEAP_MAG:
+                    log_sum += log_term
+                    continue
+                product = exp_t(from_real(log_sum))
+            product = mul_t(product, _grid_term(family, k, q, p.d))
+    return exp_t(from_real(log_sum)) if product is None else product
 
 
 def lie_product_bound(p: BoundParams) -> LieBounds:
@@ -99,15 +139,8 @@ def lie_product_bound(p: BoundParams) -> LieBounds:
         grids = {}
         total = _ONE
         for family in FAMILY_ORDER:
-            product = _ONE
-            for k in family_ranks(family, _grid_rank_cap(p)):
-                q_cap = _largest_admissible_q(p.length, p.config.c1 * k)
-                for q in admissible_q_values(family, q_cap):
-                    qb = pow_t(from_real(q), b_value(family, k))
-                    term = exp_t(mul_t(pow_t(qb, p.d), ln_t(qb)))
-                    product = mul_t(product, term)
-            grids[family] = product
-            total = mul_t(total, product)
+            grids[family] = _family_grid(p, family)
+            total = mul_t(total, grids[family])
     return LieBounds(closed, grids, total)
 
 
@@ -160,7 +193,10 @@ def anabelian_bound(p: BoundParams) -> AnabelianBounds:
     subgroup is at most E_2(x_d), Schreier's theorem regenerates it with
     at most d*E_2(x_d) elements, and the product telescopes.
     """
-    return anabelian_bound_series(p, p.k)[-1]
+    with working_precision(p.config.precision):
+        head, settled = _recursion(p, p.k)
+        return AnabelianBounds(_recursive_at(head, settled, p.k),
+                               big_E(2 * p.k, from_real(2 * _scale_part(p, p.d))))
 
 
 def anabelian_bound_series(p: BoundParams, k_max: int) -> list:
@@ -168,17 +204,48 @@ def anabelian_bound_series(p: BoundParams, k_max: int) -> list:
     if k_max < 1:
         raise ValueError("k_max must be positive")
     with working_precision(p.config.precision):
-        scale = from_real(_scale_part(p))
+        head, settled = _recursion(p, k_max)
         two_x = from_real(2 * _scale_part(p, p.d))
-        d_t = from_real(p.d)
-        recursive = _ONE
-        out = []
-        for k in range(1, k_max + 1):
-            layer = big_E(2, mul_t(scale, d_t))
-            recursive = mul_t(recursive, layer)
-            d_t = mul_t(d_t, layer)
-            out.append(AnabelianBounds(recursive, big_E(2 * k, two_x)))
-    return out
+        return [AnabelianBounds(_recursive_at(head, settled, k), big_E(2 * k, two_x))
+                for k in range(1, k_max + 1)]
+
+
+def _recursion(p: BoundParams, k_max: int):
+    """The recursive bound step by step, until k_max or until it settles.
+
+    Returns (head, settled): head[k-1] is B(k, d) for each step taken, and
+    settled is None when all k_max steps ran, else the running generator
+    count d_t at the start of step len(head) + 1.
+
+    The recursion settles once ln(d_t) is too large for `_real` under
+    CHEAP_MAG, the test `mul_t` applies to the logs of its operands. From
+    there each of the step's three products returns its larger operand
+    with the inexact flag set: d_t exceeds the scale factor and the running
+    product (ln d fits for any integer d, so d_t already carries the first
+    layer), and the layer exceeds both. So the product and d_t both become
+    the layer E_2(d_t), every later step is one more E_2, and values only
+    grow, so the regime never ends (see `_recursive_at`).
+    """
+    scale = from_real(_scale_part(p))
+    d_t = from_real(p.d)
+    recursive = _ONE
+    head = []
+    while len(head) < k_max:
+        if _real(ln_t(d_t), CHEAP_MAG) is None:
+            return head, d_t
+        layer = big_E(2, mul_t(scale, d_t))
+        recursive = mul_t(recursive, layer)
+        d_t = mul_t(d_t, layer)
+        head.append(recursive)
+    return head, None
+
+
+def _recursive_at(head: list, settled, k: int) -> TowerNumber:
+    """B(k, d) from what `_recursion` returned: a step it took, or, past
+    those, the settled d_t with one E_2 per remaining step, flagged inexact."""
+    if k <= len(head):
+        return head[k - 1]
+    return TowerNumber(settled.height + 2 * (k - len(head)), settled.index, True)
 
 
 def anabelian_intermediate_bound(p: BoundParams) -> TowerNumber:

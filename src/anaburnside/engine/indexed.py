@@ -10,10 +10,11 @@ paired right products xs[i]*ys[i] of two index arrays, where a scalar `ys`
 broadcasts. It also defines `_compute_inverses`, the array i -> i^-1, which
 is computed once and kept. Everything else is derived from these two in
 `IndexedGroup`: scalar `mul` and `inv`, the right-multiplication column
-`column(j)` (restricted to the indexes `at` when given), `conjugates`, and
-element orders from one power loop. Closures, conjugacy classes and coset
-labelling run as frontier-array operations over these. Columns are computed
-when asked for and never cached per element.
+`column(j)` (restricted to the indexes `at` when given), `conjugates`,
+element orders from one power loop, and powers by square-and-multiply.
+Closures, conjugacy classes and coset labelling run as frontier-array
+operations over these. Columns are computed when asked for and never cached
+per element.
 """
 
 import numpy as np
@@ -169,6 +170,21 @@ class IndexedGroup:
 
     def order_of(self, i):
         return int(self.orders([i])[0])
+
+    def powers(self, e, xs=None):
+        """x**e for every x in the index array `xs` (default: every
+        element), by square-and-multiply over `products`."""
+        xs = np.arange(self.n) if xs is None else np.asarray(xs, dtype=np.intp)
+        base = xs if e >= 0 else self.inverses()[xs]
+        result = np.full(len(xs), self.identity_index, dtype=np.intp)
+        e = abs(e)
+        while e:
+            if e & 1:
+                result = self.products(result, base)
+            e >>= 1
+            if e:
+                base = self.products(base, base)
+        return result
 
     # Handle protocol shared with PermGroup, used by word evaluation.
     def identity(self):

@@ -48,20 +48,6 @@ def _power_rows(rows, e):
     return result
 
 
-def _power_indexes(G, e):
-    """Index map i -> i**e, by square-and-multiply over `products`."""
-    base = np.arange(G.n) if e >= 0 else G.inverses()
-    result = np.full(G.n, G.identity_index, dtype=np.intp)
-    e = abs(e)
-    while e:
-        if e & 1:
-            result = G.products(result, base)
-        e >>= 1
-        if e:
-            base = G.products(base, base)
-    return result
-
-
 def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
            exhaust_cap=Config.exhaust_cap, cayley_cap=Config.cayley_cap):
     """Check whether a word evaluates to the identity on all assignments.
@@ -127,7 +113,7 @@ def _is_law_indexed(word, Gi):
     powers = {}
     for v, e in word.syllables:
         if (v, e) not in powers:
-            powers[(v, e)] = _power_indexes(Gi, e)
+            powers[(v, e)] = Gi.powers(e)
     total = n ** rank
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)

@@ -99,6 +99,18 @@ def _gens_commute(G, gens):
     return True
 
 
+def _of_prime_order(G, xs):
+    """Mask of the elements of the index array `xs` that have prime order:
+    x != e with x^p = e for a prime p dividing |G|. That takes one
+    square-and-multiply pass per prime, where computing the orders takes as
+    many products as the largest element order."""
+    e = G.identity_index
+    hit = np.zeros(len(xs), dtype=bool)
+    for p, _ in factorize(G.n):
+        hit |= G.powers(p, xs) == e
+    return hit & (xs != e)
+
+
 def _minimal_normals_with_gens(G):
     """Minimal normal subgroups as (element mask, generators) pairs.
 
@@ -110,18 +122,11 @@ def _minimal_normals_with_gens(G):
     """
     if G.n == 1:
         return []
-    e = G.identity_index
-    reps = []
     least = _class_least(G)
     classes = np.flatnonzero(least == np.arange(G.n))  # each class's least element
     sizes = np.bincount(least)[classes]
-    orders = G.orders(classes)
-    for rep, size, order in zip(classes.tolist(), sizes.tolist(), orders.tolist()):
-        if rep == e:
-            continue
-        if factorize(order) == ((order, 1),):  # prime order
-            reps.append((size, rep))
-    reps.sort()
+    prime = _of_prime_order(G, classes)
+    reps = sorted(zip(sizes[prime].tolist(), classes[prime].tolist()))
     found = []
     for _, rep in reps:
         if any(S[rep] for S, _ in found):

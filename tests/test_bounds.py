@@ -6,6 +6,7 @@ from collections import Counter
 import mpmath
 import pytest
 
+import bound_oracle as oracle
 from anaburnside import bounds
 from anaburnside.bounds import (
     AnabelianBounds,
@@ -243,3 +244,100 @@ def test_stages_run_at_the_configured_precision():
     with mpmath.workdps(120):
         assert abs(high.index - want) < mpmath.mpf(10) ** -100
         assert abs(low.index - want) > mpmath.mpf(10) ** -100
+
+
+# Differential checks against the literal loops in `bound_oracle`. The full
+# (d, length) sweep runs at the default precision; high precision and other
+# constants run on a sample of it, since the literal loops cost about a
+# second per length-1200 point at 200 digits.
+SWEEP_D = (1, 2, 3, 5, 50)
+SWEEP_LENGTHS = (2, 3, 7, 30, 120, 350, 1200)
+OTHER_CONFIGS = (Config(precision=200), Config(c=3.5, c1=0.75),
+                 Config(precision=200, c=2.5, c1=2.5, c2=1.5))
+OTHER_POINTS = ((1, 2), (2, 3), (3, 7), (5, 30), (50, 120), (2, 350))
+
+
+def assert_recursion_matches_literal(p):
+    want = oracle.recursion_series(p, p.length)
+    got = anabelian_bound_series(p, p.length)
+    single = anabelian_bound(p).recursive
+    assert [a.recursive.height for a in got] == [w.height for w in want]
+    assert [a.recursive.index for a in got] == [w.index for w in want]
+    assert [a.recursive.inexact for a in got] == [w.inexact for w in want]
+    assert (single.height, single.index, single.inexact) == \
+        (want[-1].height, want[-1].index, want[-1].inexact)
+
+
+def assert_grids_match_literal(p):
+    want = oracle.grid_fold(p)
+    got = lie_product_bound(p).grids
+    assert list(got) == list(want)
+    tol = mpmath.mpf(10) ** (10 - p.config.precision)
+    for family, w in want.items():
+        g = got[family]
+        assert (g.height, g.inexact) == (w.height, w.inexact), family
+        assert abs(g.index - w.index) <= tol, family
+
+
+@pytest.mark.parametrize("length", SWEEP_LENGTHS)
+@pytest.mark.parametrize("d", SWEEP_D)
+def test_recursion_matches_literal_steps(d, length):
+    assert_recursion_matches_literal(BoundParams(d, length, length))
+
+
+@pytest.mark.parametrize("length", SWEEP_LENGTHS)
+@pytest.mark.parametrize("d", SWEEP_D)
+def test_grids_match_literal_fold(d, length):
+    assert_grids_match_literal(BoundParams(d, length, length))
+
+
+@pytest.mark.parametrize("config", OTHER_CONFIGS, ids=("dps200", "c3.5_c1_0.75", "dps200_c1_2.5"))
+@pytest.mark.parametrize("d, length", OTHER_POINTS)
+def test_stages_match_literal_under_other_configs(d, length, config):
+    p = BoundParams(d, length, length, config)
+    assert_recursion_matches_literal(p)
+    assert_grids_match_literal(p)
+
+
+def test_grid_fallback_is_reached_and_matches(monkeypatch):
+    # (2^133)^50 * 133 ln 2 exceeds CHEAP_MAG bits: E7(2) at d = 50 leaves the
+    # log-space sum for the factor-by-factor fold
+    terms = Counter()
+
+    def counted(family, k, q, d, fn=bounds._grid_term):
+        terms[family] += 1
+        return fn(family, k, q, d)
+    monkeypatch.setattr(bounds, "_grid_term", counted)
+    p = BoundParams(50, 1200, 1200)
+    assert_grids_match_literal(p)
+    assert terms["E7"] == 1
+    terms.clear()
+    assert_grids_match_literal(BoundParams(2, 1200, 1200))
+    assert not terms
+
+
+def test_recursion_settles_after_a_few_steps(monkeypatch):
+    calls = Counter()
+
+    def counted(x, y, fn=bounds.mul_t):
+        calls["mul_t"] += 1
+        return fn(x, y)
+    monkeypatch.setattr(bounds, "mul_t", counted)
+    ab = anabelian_bound(BoundParams(2, 10 ** 6, 10 ** 6))
+    assert calls["mul_t"] <= 20
+    assert ab.recursive.inexact
+    assert cmp_t(ab.recursive, ab.closed) <= 0
+
+
+@pytest.mark.parametrize("exponent", (1, 2, 3, 2.5, 7))
+def test_largest_admissible_q_matches_linear_probe(exponent):
+    lengths = set(range(2, 130)) | {1200, 2401, 4095, 4096, 4097, 5000}
+    lengths |= {q ** e + s for q in range(2, 71) for e in (1, 2, 3, 7)
+                for s in (-1, 0, 1) if 2 <= q ** e + s <= 5000}
+    if exponent == 1:
+        lengths = {L for L in lengths if L <= 1500} | {4096, 5000}
+    for length in sorted(lengths):
+        assert bounds._largest_admissible_q(length, exponent) == \
+            oracle.largest_admissible_q(length, exponent), length
+    # the float cube root of 64 rounds to 3.9999999999999996
+    assert bounds._largest_admissible_q(64, 3.0) == 4

@@ -58,6 +58,9 @@ COMMANDS = {
     # runs under the config file given in CONFIGS
     "analyze_x1260_cayley_cap_200000": ["analyze", "x^1260"],
     "bound_x30_d2_precision_120": ["bound", "x^30", "--d", "2"],
+    # long laws, where the recursion settles and the Lie grids run long
+    "bound_length_1200": ["bound", "--length", "1200"],
+    "bound_length_5000_d3": ["bound", "--length", "5000", "--d", "3"],
 }
 
 # the config object each of these entries writes to a file and passes with --config

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from anaburnside.catalog import factorize
 from anaburnside.engine import (
     CyclicGroup,
     PairGroup,
@@ -35,7 +36,6 @@ from anaburnside.engine import (
 )
 from anaburnside.engine import structure
 from anaburnside.engine.indexed import least_in_orbits
-from anaburnside.engine.laws import _power_indexes
 
 from groupfiles import sl25_group
 
@@ -274,7 +274,21 @@ def test_densify_builds_the_scalar_table(name):
 @given(names, st.integers(-130, 130) | st.sampled_from([420, -420, 0]))
 def test_power_indexes_match_repeated_products(name, e):
     G = substrate(name)
-    assert _power_indexes(G, e).tolist() == oracle.power_indexes(G, e)
+    want = oracle.power_indexes(G, e)
+    assert G.powers(e).tolist() == want
+    some = np.arange(G.n)[::-3]
+    assert G.powers(e, some).tolist() == [want[i] for i in some]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_prime_order_selection_matches_element_orders(name):
+    G = substrate(name)
+    everything = np.arange(G.n)
+    reps = np.flatnonzero(structure._class_least(G) == everything)
+    for xs in (everything, reps, reps[::-1]):
+        orders = G.orders(xs).tolist()
+        want = [factorize(o) == ((o, 1),) for o in orders]
+        assert structure._of_prime_order(G, xs).tolist() == want
 
 
 @FAST

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from anaburnside.errors import TowerOverflow
@@ -302,3 +304,44 @@ def test_close_t():
     assert close_t(TowerNumber(2, 0.5), TowerNumber(2, 0.5))
     assert not close_t(TowerNumber(2, 0.5), TowerNumber(3, 0.5))
     assert not close_t(TowerNumber(2, 0.5), TowerNumber(2, 0.6))
+
+
+# Tower values across the heights the bounds produce. The listed indexes add
+# ties and the edge of the exact regime: E_5(0.7291) is about exp(2^4096),
+# where mul_t and _add_t switch to the dominant-operand shortcut.
+indexes = st.floats(0, 1, exclude_max=True) | st.sampled_from((0.0, 0.5, 0.7291, 0.72911))
+towers = st.builds(TowerNumber, st.integers(0, 9), indexes)
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(towers, towers)
+def test_cmp_t_is_antisymmetric(x, y):
+    assert cmp_t(x, y) == -cmp_t(y, x)
+    assert cmp_t(x, x) == 0
+
+
+@PROPERTY
+@given(towers, towers, towers)
+def test_cmp_t_is_transitive(x, y, z):
+    if cmp_t(x, y) <= 0 and cmp_t(y, z) <= 0:
+        assert cmp_t(x, z) <= 0
+    if cmp_t(x, y) < 0 and cmp_t(y, z) < 0:
+        assert cmp_t(x, z) < 0
+
+
+@PROPERTY
+@given(towers, towers, towers)
+def test_mul_t_is_monotone_in_each_argument(x, y, z):
+    lo, hi = (x, y) if cmp_t(x, y) <= 0 else (y, x)
+    assert cmp_t(mul_t(lo, z), mul_t(hi, z)) <= 0
+    assert cmp_t(mul_t(z, lo), mul_t(z, hi)) <= 0
+
+
+@PROPERTY
+@given(towers, st.integers(1, 6))
+def test_pow_t_agrees_with_repeated_mul_t(x, n):
+    product = x
+    for _ in range(n - 1):
+        product = mul_t(product, x)
+    assert close_t(pow_t(x, n), product)
