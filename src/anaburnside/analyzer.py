@@ -83,11 +83,6 @@ class AnalysisReport:
         return out
 
 
-def factor_exponent(n: int) -> tuple:
-    """Sorted prime-power factorization of n; empty for n = 1."""
-    return factorize(n)
-
-
 def _pool_exponent(kind: str, arg: int) -> int:
     """Exponent of a pool group in closed form, without enumerating it.
 
@@ -166,7 +161,7 @@ def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
                      "so no finite criterion applies")
         return AnalysisReport(w, d, bound.params.length, "derived",
                               VERDICT_UNKNOWN, bound=bound, notes=tuple(notes))
-    factors = factor_exponent(n)
+    factors = factorize(n)
     if n % 2:
         notes.append("exponent %d is odd: groups of odd exponent have odd "
                      "order, hence are solvable by Feit-Thompson" % n)

@@ -14,12 +14,10 @@ from mpmath import mp
 
 from .catalog import FAMILY_ORDER, admissible_q_values, b_value, family_ranks
 from .config import Config
-from .towers import (CHEAP_MAG, TowerNumber, _add_t, _real, big_E, cmp_t,
+from .towers import (CHEAP_MAG, ONE, TowerNumber, _add_t, _real, big_E, cmp_t,
                      exp_t, from_real, get_precision, ln_t, mul_t, parse_tower,
-                     pow_t, render_tower, tower, working_precision)
+                     pow_t, render_tower, working_precision)
 from .words import Word, word_length
-
-_ONE = tower(0, 1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def lie_product_bound(p: BoundParams) -> LieBounds:
         closed = exp_t(mul_t(from_real(cube_arg),
                              exp_t(exp_t(from_real(tower_arg)))))
         grids = {}
-        total = _ONE
+        total = ONE
         for family in FAMILY_ORDER:
             grids[family] = _family_grid(p, family)
             total = mul_t(total, grids[family])
@@ -228,7 +226,7 @@ def _recursion(p: BoundParams, k_max: int):
     """
     scale = from_real(_scale_part(p))
     d_t = from_real(p.d)
-    recursive = _ONE
+    recursive = ONE
     head = []
     while len(head) < k_max:
         if _real(ln_t(d_t), CHEAP_MAG) is None:
@@ -265,8 +263,8 @@ def schreier_generator_bound(d: int, index: TowerNumber,
     if simplified:
         return mul_t(from_real(d), index)
     if d == 1:
-        return _ONE
-    return _add_t(mul_t(from_real(d - 1), index), _ONE)
+        return ONE
+    return _add_t(mul_t(from_real(d - 1), index), ONE)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 ENV_VAR = "BURNSIDE_CONFIG"
 
@@ -45,9 +45,6 @@ class Config:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def with_overrides(self, **kwargs) -> "Config":
-        return replace(self, **kwargs)
 
 
 def load_config(path: str | None = None) -> Config:

@@ -61,9 +61,6 @@ class GaloisField:
         da, db = self._digits(a), self._digits(b)
         return self._encode([(x + y) % self.p for x, y in zip(da, db)])
 
-    def neg(self, a):
-        return self._encode([(-x) % self.p for x in self._digits(a)])
-
     def _poly_mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p

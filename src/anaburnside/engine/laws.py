@@ -290,59 +290,67 @@ def _generating_pair(Gi):
     raise ValueError("group is not generated by two elements")
 
 
+def _spanning_levels(Gi, gens):
+    """Breadth-first spanning tree of the Cayley graph from the identity, as
+    levels (elements, their parents, which generator reaches them)."""
+    seen = np.zeros(Gi.n, dtype=bool)
+    seen[Gi.identity_index] = True
+    frontier = np.array([Gi.identity_index], dtype=np.intp)
+    levels = []
+    while frontier.size:
+        ys = np.concatenate([Gi.column(g, at=frontier) for g in gens])
+        xs = np.tile(frontier, len(gens))
+        which = np.repeat(np.arange(len(gens)), len(frontier))
+        new = ~seen[ys]
+        ys, first = np.unique(ys[new], return_index=True)
+        xs, which = xs[new][first], which[new][first]
+        seen[ys] = True
+        levels.append((ys, xs, which))
+        frontier = ys
+    if not seen.all():
+        raise RuntimeError("generating pair does not reach the whole group")
+    return levels
+
+
+def _automorphisms_among(Gi, gens, levels, images):
+    """How many rows of `images` (candidate images of `gens`) extend to
+    automorphisms. Each row's map grows along the spanning tree, all rows
+    at once; it is an automorphism when it is a bijection and
+    image(x*g) = image(x)*image(g) for every x and each generator g."""
+    k, n = len(images), Gi.n
+    maps = np.empty((k, n), dtype=np.intp)
+    maps[:, Gi.identity_index] = Gi.identity_index
+    for ys, xs, which in levels:
+        maps[:, ys] = Gi.products(maps[:, xs].ravel(),
+                                  images[:, which].ravel()).reshape(k, len(ys))
+    ok = (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
+    for j, g in enumerate(gens):
+        moved = Gi.products(maps.ravel(), np.repeat(images[:, j], n)).reshape(k, n)
+        ok &= (maps[:, Gi.column(g)] == moved).all(axis=1)
+    return int(np.count_nonzero(ok))
+
+
 def automorphism_count(G):
-    """|Aut(G)| by brute force over candidate images of a generating pair."""
+    """|Aut(G)| by brute force over candidate images of a generating pair
+    (a, b): the pairs (a2, b2) with the orders of a, b and ab, in chunks."""
     Gi = as_indexed(G)
     n = Gi.n
     if n == 1:
         return 1
-    orders = Gi.orders().tolist()
-    if n in orders:
+    orders = Gi.orders()
+    if (orders == n).any():
         # cyclic: automorphisms send a generator to any generator
-        return orders.count(n)
-    a, b = _generating_pair(Gi)
-    oa, ob, oab = orders[a], orders[b], orders[Gi.mul(a, b)]
-    # breadth-first spanning data: each element as (previous, generator)
-    parent = {Gi.identity_index: None}
-    order_bfs = [Gi.identity_index]
-    frontier = [Gi.identity_index]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in (a, b):
-                y = Gi.mul(x, g)
-                if y not in parent:
-                    parent[y] = (x, g)
-                    order_bfs.append(y)
-                    new.append(y)
-        frontier = new
-    if len(order_bfs) != n:
-        raise RuntimeError("generating pair does not reach the whole group")
-    count = 0
-    for a2 in range(n):
-        if orders[a2] != oa:
-            continue
-        for b2 in range(n):
-            if orders[b2] != ob or orders[Gi.mul(a2, b2)] != oab:
-                continue
-            image = {Gi.identity_index: Gi.identity_index}
-            gmap = {a: a2, b: b2}
-            ok = True
-            for y in order_bfs[1:]:
-                x, g = parent[y]
-                image[y] = Gi.mul(image[x], gmap[g])
-            if len(set(image.values())) != n:
-                continue
-            for x in order_bfs:
-                for g in (a, b):
-                    if image[Gi.mul(x, g)] != Gi.mul(image[x], gmap[g]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                count += 1
-    return count
+        return int(np.count_nonzero(orders == n))
+    gens = _generating_pair(Gi)
+    a2 = np.flatnonzero(orders == orders[gens[0]])
+    b2 = np.flatnonzero(orders == orders[gens[1]])
+    a2, b2 = np.repeat(a2, len(b2)), np.tile(b2, len(a2))
+    keep = orders[Gi.products(a2, b2)] == orders[Gi.mul(*gens)]
+    images = np.stack([a2[keep], b2[keep]], axis=1)
+    levels = _spanning_levels(Gi, gens)
+    step = max(1, _CHUNK // n)
+    return sum(_automorphisms_among(Gi, gens, levels, images[i:i + step])
+               for i in range(0, len(images), step))
 
 
 def max_d_generated_power(G, d):

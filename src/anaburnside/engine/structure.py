@@ -1,7 +1,7 @@
 """Normal structure: composition factors, radicals, and series verification."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +116,11 @@ def _minimal_normals_with_gens(G):
 
     Every minimal normal subgroup is the normal closure of any of its
     prime-order elements, so closures of prime-order class representatives
-    are a complete candidate list. Candidates that grow past half the group
-    are the whole group; candidates swallowing an earlier proper candidate
-    are not minimal. If nothing proper remains the group is simple.
+    are a complete candidate list (Holt, Eick & O'Brien, ch. 4). Every
+    representative gets its own closure: one lying in an earlier closure
+    may still generate a smaller one. Candidates that grow past half the
+    group are the whole group; candidates swallowing an earlier proper
+    candidate are not minimal. If nothing proper remains the group is simple.
     """
     if G.n == 1:
         return []
@@ -129,8 +131,6 @@ def _minimal_normals_with_gens(G):
     reps = sorted(zip(sizes[prime].tolist(), classes[prime].tolist()))
     found = []
     for _, rep in reps:
-        if any(S[rep] for S, _ in found):
-            continue
         result = normal_closure_indexed(
             G, [rep], cap=G.n // 2, reject_supersets=[S for S, _ in found])
         if result is not None:
@@ -157,70 +157,58 @@ def minimal_normal_subgroups(G):
     return [_frozen(S) for S, _ in _minimal_normals_with_gens(Gi)]
 
 
-def _derived_masks(Gi):
-    series = [(np.ones(Gi.n, dtype=bool), tuple(Gi.generator_indices))]
-    while True:
-        ambient = series[-1][1]
-        comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
-                 for i, a in enumerate(ambient) for b in ambient[i + 1:]]
-        S, gens = normal_closure_indexed(Gi, comms, conjugators=ambient)
-        if _size(S) == _size(series[-1][0]):
-            break
-        series.append((S, gens))
-        if _size(S) == 1:
-            break
-    return [S for S, _ in series]
-
-
-def derived_series_sets(G):
-    """Descending derived series as element sets, stopping when stable."""
-    return [_frozen(S) for S in _derived_masks(as_indexed(G))]
-
-
 def is_solvable(G):
-    if isinstance(G, PermGroup):
-        return G.is_solvable()
-    return _size(_derived_masks(as_indexed(G))[-1]) == 1
+    """True when the derived series reaches the identity. Each term is the
+    normal closure, under the previous term's generators, of their
+    commutators."""
+    Gi = as_indexed(G)
+    size, gens = Gi.n, Gi.generator_indices
+    while size > 1:
+        comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
+                 for i, a in enumerate(gens) for b in gens[i + 1:]]
+        S, gens = normal_closure_indexed(Gi, comms, conjugators=gens)
+        if _size(S) == size:
+            return False
+        size = _size(S)
+    return True
 
 
-def derived_series(G):
-    """Derived series; permutation groups stay permutation groups."""
-    if isinstance(G, PermGroup):
-        return G.derived_series()
-    return derived_series_sets(G)
+def _peel_radical(Q):
+    """(radical mask, top quotient, its minimal normal subgroups) for a
+    nonsolvable Q.
+
+    Factors out the normal closure of the abelian minimal normal subgroups
+    until none is left. Each step removes a solvable normal subgroup, so the
+    quotients stay nonsolvable, and one with no abelian minimal normal
+    subgroup has a trivial radical: the radical of Q is what maps to the
+    identity of the top, read from the composed coset labels. The top is Q
+    itself when its radical is trivial.
+    """
+    labels = np.arange(Q.n)
+    top = Q
+    while True:
+        mins = _minimal_normals_with_gens(top)
+        abelian = [g for _, gens in mins if _gens_commute(top, gens) for g in gens]
+        if not abelian:
+            return labels == top.identity_index, top, mins
+        N, _ = normal_closure_indexed(top, abelian)
+        top = QuotientGroup(top, np.flatnonzero(N))
+        labels = top.labels[labels]
 
 
 def solvable_radical(G):
     """Largest solvable normal subgroup, as a frozenset of indexes."""
-    return _frozen(_radical_rec(as_indexed(G)))
-
-
-def _radical_rec(Q):
-    if is_solvable(Q):
-        return np.ones(Q.n, dtype=bool)
-    abelian = []
-    for S, gens in _minimal_normals_with_gens(Q):
-        if _gens_commute(Q, gens):
-            abelian.append((S, gens))
-    if not abelian:
-        return _mask(Q, [Q.identity_index])
-    seeds = [g for _, gens in abelian for g in gens]
-    N, _ = normal_closure_indexed(Q, seeds)
-    QQ = QuotientGroup(Q, np.flatnonzero(N))
-    return _radical_rec(QQ)[QQ.labels]
-
-
-def _socle(Gi):
-    mins = _minimal_normals_with_gens(Gi)
-    if not mins:
-        return _mask(Gi, [Gi.identity_index]), ()
-    seeds = [g for _, gens in mins for g in gens]
-    return normal_closure_indexed(Gi, seeds)
+    Gi = as_indexed(G)
+    if is_solvable(Gi):
+        return frozenset(range(Gi.n))
+    return _frozen(_peel_radical(Gi)[0])
 
 
 def socle(G):
     """Product of the minimal normal subgroups, as (set, gens)."""
-    S, gens = _socle(as_indexed(G))
+    Gi = as_indexed(G)
+    seeds = [g for _, gens in _minimal_normals_with_gens(Gi) for g in gens]
+    S, gens = normal_closure_indexed(Gi, seeds)
     return _frozen(S), gens
 
 
@@ -280,12 +268,46 @@ def composition_report(G):
 
     The series is an ascending chain of element-index sets of the indexed
     presentation, each normal in the next with simple quotient; factor i
-    is the quotient series[i+1]/series[i].
+    is the quotient series[i+1]/series[i]. It is read off a loop over
+    quotients: each peels its least minimal normal subgroup M, one
+    composition factor at a time, and the loop stops when M is the whole
+    quotient. `labels` maps the group onto the current quotient, so a mask
+    over the quotient pulls back as `mask[labels]`.
     """
     Gi = as_indexed(G)
     factors = []
     series = [frozenset({Gi.identity_index})]
-    _composition_rec(Gi, factors, series, lambda mask: mask)
+    Q, labels = Gi, np.arange(Gi.n)
+    while Q.n > 1:
+        M, Mgens = _minimal_normals_with_gens(Q)[0]
+        size = _size(M)
+        if _gens_commute(Q, Mgens):
+            p = Q.order_of(Mgens[0])
+            current = Closure(Q)
+            while current.size < size:
+                prev = current.size
+                current.add(int(np.flatnonzero(M & ~current.mask)[0]))
+                if current.size != prev * p:
+                    raise RuntimeError("abelian layer step is not of prime index")
+                factors.append(CompositionFactor("cyclic", p, "C_%d" % p))
+                series.append(_frozen(current.mask[labels]))
+        else:
+            V = SubgroupView(Q, np.flatnonzero(M), Mgens)
+            current = Closure(V)
+            for S, Sgens in _minimal_normals_with_gens(V):
+                prev = current.size
+                for g in Sgens:
+                    current.add(g)
+                if current.size != prev * _size(S):
+                    raise RuntimeError("semisimple layer is not a direct product of its parts")
+                factors.append(CompositionFactor("nonabelian", _size(S), simple_name(_size(S))))
+                series.append(_frozen(_mask(Q, V.globals[current.mask])[labels]))
+            if current.size != size:
+                raise RuntimeError("simple parts do not fill the minimal normal subgroup")
+        if size == Q.n:
+            break
+        Q = QuotientGroup(Q, np.flatnonzero(M))
+        labels = Q.labels[labels]
     order_product = 1
     for f in factors:
         order_product *= f.order
@@ -294,43 +316,6 @@ def composition_report(G):
     anabelian = not any(f.kind == "cyclic" for f in factors)
     return CompositionReport(group_order=Gi.n, factors=tuple(factors),
                              series=tuple(series), anabelian=anabelian)
-
-
-def _composition_rec(Q, factors, series, lift):
-    """Peel one minimal normal subgroup, then recurse on the quotient.
-
-    `lift` maps an element mask of Q to one of the top group.
-    """
-    if Q.n == 1:
-        return
-    mins = _minimal_normals_with_gens(Q)
-    M, Mgens = mins[0]
-    size = _size(M)
-    if _gens_commute(Q, Mgens):
-        p = Q.order_of(Mgens[0])
-        current = Closure(Q)
-        while current.size < size:
-            prev = current.size
-            current.add(int(np.flatnonzero(M & ~current.mask)[0]))
-            if current.size != prev * p:
-                raise RuntimeError("abelian layer step is not of prime index")
-            factors.append(CompositionFactor("cyclic", p, "C_%d" % p))
-            series.append(_frozen(lift(current.mask)))
-    else:
-        V = SubgroupView(Q, np.flatnonzero(M), Mgens)
-        current = Closure(V)
-        for S, Sgens in _minimal_normals_with_gens(V):
-            prev = current.size
-            for g in Sgens:
-                current.add(g)
-            if current.size != prev * _size(S):
-                raise RuntimeError("semisimple layer is not a direct product of its parts")
-            factors.append(CompositionFactor("nonabelian", _size(S), simple_name(_size(S))))
-            series.append(_frozen(lift(_mask(Q, V.globals[current.mask]))))
-        if current.size != size:
-            raise RuntimeError("simple parts do not fill the minimal normal subgroup")
-    QQ = QuotientGroup(Q, np.flatnonzero(M))
-    _composition_rec(QQ, factors, series, lambda mask: lift(mask[QQ.labels]))
 
 
 def is_simple(G):
@@ -348,21 +333,26 @@ def is_anabelian(G):
 
 
 def is_semisimple(G):
-    """True for a direct product of nonabelian simple groups."""
+    """True for a direct product of nonabelian simple groups.
+
+    That holds iff no minimal normal subgroup is abelian and their orders
+    multiply to |G|. Two distinct nonabelian minimal normal subgroups meet
+    in a normal subgroup properly inside each, so trivially, and hence
+    commute. One lying in the product of the others would then be central
+    in it, so abelian: the product is direct. With orders multiplying to
+    |G| it is G, and a normal subgroup of one factor is normal in G, so by
+    minimality each factor is simple. Conversely the minimal normal
+    subgroups of such a product are its simple factors.
+    """
     Gi = as_indexed(G)
     if Gi.n == 1:
         return False
-    mins = _minimal_normals_with_gens(Gi)
     product = 1
-    for S, gens in mins:
+    for S, gens in _minimal_normals_with_gens(Gi):
         if _gens_commute(Gi, gens):
             return False
-        if not is_simple(SubgroupView(Gi, np.flatnonzero(S), gens)):
-            return False
         product *= _size(S)
-    if product != Gi.n:
-        return False
-    return True
+    return product == Gi.n
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +390,30 @@ def nonsolvable_length(G):
     of reach of any indexed group: it needs G/R/Soc nonsolvable inside
     Out(T) wr Sym(k), and Out(T) is solvable, so k >= 5 and
     |G| >= 60^6, about 4.7 * 10^10.
+
+    One loop step is one level: peel the radical, take the socle of the top
+    quotient, and go on with the quotient by it, until that is solvable or
+    the socle fills the top.
     """
-    value, factors = _lambda_rec(as_indexed(G))
-    return LambdaReport(value=value, exact=True, factors=tuple(factors))
-
-
-def _lambda_rec(Q):
-    if is_solvable(Q):
+    Q = as_indexed(G)
+    value, factors = 0, []
+    while not is_solvable(Q):
+        R, top, mins = _peel_radical(Q)
+        if _size(R) > 1:
+            factors.append(LambdaFactor("solvable radical", _size(R), "solvable", False,
+                                        "largest solvable normal subgroup"))
+        soc, _ = normal_closure_indexed(top, [g for _, gens in mins for g in gens])
+        factors.append(LambdaFactor("semisimple socle layer", _size(soc), "semisimple", True,
+                                    "product of nonabelian minimal normal subgroups"))
+        value += 1
+        if _size(soc) == top.n:
+            break
+        Q = QuotientGroup(top, np.flatnonzero(soc))
+    else:
         if Q.n > 1:
-            return 0, [LambdaFactor("solvable group", Q.n, "solvable", False,
-                                    "derived series reaches the identity")]
-        return 0, []
-    R = _radical_rec(Q)
-    factors = []
-    if _size(R) > 1:
-        factors.append(LambdaFactor("solvable radical", _size(R), "solvable", False,
-                                    "largest solvable normal subgroup"))
-    QR = QuotientGroup(Q, np.flatnonzero(R))
-    soc, _ = _socle(QR)
-    layer = QuotientGroup(QR, np.flatnonzero(soc))
-    factors.append(LambdaFactor("semisimple socle layer", _size(soc), "semisimple", True,
-                                "product of nonabelian minimal normal subgroups"))
-    upper_value, upper_factors = _lambda_rec(layer)
-    return 1 + upper_value, factors + upper_factors
+            factors.append(LambdaFactor("solvable group", Q.n, "solvable", False,
+                                        "derived series reaches the identity"))
+    return LambdaReport(value=value, exact=True, factors=tuple(factors))
 
 
 # ---------------------------------------------------------------------------

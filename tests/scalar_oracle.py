@@ -12,7 +12,6 @@ Python set.
 import bisect
 import functools
 
-from anaburnside.catalog import factorize
 from anaburnside.engine import (CyclicGroup, PairGroup, PermGroup, PermIndexedGroup,
                                 Permutation, QuotientGroup, SubgroupView, TableGroup)
 
@@ -202,37 +201,18 @@ def coset_labels(parent, normal_indices):
     return labels, reps
 
 
-def minimal_normal_subgroups(G):
-    """(frozenset, generators) pairs, sorted by size and then elements."""
-    if G.n == 1:
-        return []
+def minimal_normal_subgroups(G, classes=None, closure=None):
+    """Minimal normal subgroups by their definition, as frozensets sorted by
+    size and then elements: the normal closures of the non-identity class
+    representatives that contain no other one. `classes(G)` lists the
+    conjugacy classes and `closure(G, g)` gives the elements of the normal
+    closure of g; both default to the scalar loops here."""
+    classes = classes or conjugacy_classes
+    closure = closure or (lambda G, g: normal_closure(G, [g])[0])
     e = G.identity_index
-    reps = []
-    for cls in conjugacy_classes(G):
-        rep = cls[0]
-        if rep == e:
-            continue
-        order = order_of(G, rep)
-        if factorize(order) == ((order, 1),):
-            reps.append((len(cls), rep))
-    reps.sort()
-    found = []
-    for _, rep in reps:
-        if any(rep in S for S, _ in found):
-            continue
-        result = normal_closure(G, [rep], cap=G.n // 2,
-                                reject_supersets=[S for S, _ in found])
-        if result is not None:
-            found.append(result)
-    minimal = [(frozenset(S), gens) for S, gens in found
-               if not any(len(T) < len(S) and T <= S for T, _ in found)]
-    if not minimal:
-        return [(frozenset(range(G.n)), tuple(G.generator_indices))]
-    out = []
-    for S, gens in sorted(minimal, key=lambda p: (len(p[0]), sorted(p[0]))):
-        if S not in [T for T, _ in out]:
-            out.append((S, gens))
-    return out
+    closures = {frozenset(closure(G, c[0])) for c in classes(G) if c[0] != e}
+    minimal = [S for S in closures if not any(T < S for T in closures)]
+    return sorted(minimal, key=lambda S: (len(S), sorted(S)))
 
 
 def is_associative(table):
@@ -307,3 +287,50 @@ def perm_normal_closure(group, seed_perms):
                                     degree_cap=group.degree)
                 pending.append(c)
     return closure
+
+
+def automorphism_count(G):
+    """|Aut(G)| by brute force: every candidate image pair of a generating
+    pair, its map built along a breadth-first spanning tree and checked on
+    every product with a generator."""
+    n = G.n
+    if n == 1:
+        return 1
+    orders = [order_of(G, i) for i in range(n)]
+    if n in orders:
+        return orders.count(n)
+    a, b = next((a, b) for a in range(n) if a != G.identity_index
+                for b in range(a, n) if len(subgroup_closure(G, [a, b])) == n)
+    oa, ob, oab = orders[a], orders[b], orders[mul(G, a, b)]
+    # breadth-first spanning data: each element as (previous, generator)
+    parent = {G.identity_index: None}
+    order_bfs = [G.identity_index]
+    frontier = [G.identity_index]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in (a, b):
+                y = mul(G, x, g)
+                if y not in parent:
+                    parent[y] = (x, g)
+                    order_bfs.append(y)
+                    new.append(y)
+        frontier = new
+    count = 0
+    for a2 in range(n):
+        if orders[a2] != oa:
+            continue
+        for b2 in range(n):
+            if orders[b2] != ob or orders[mul(G, a2, b2)] != oab:
+                continue
+            image = {G.identity_index: G.identity_index}
+            gmap = {a: a2, b: b2}
+            for y in order_bfs[1:]:
+                x, g = parent[y]
+                image[y] = mul(G, image[x], gmap[g])
+            if len(set(image.values())) != n:
+                continue
+            if all(image[mul(G, x, g)] == mul(G, image[x], gmap[g])
+                   for x in order_bfs for g in (a, b)):
+                count += 1
+    return count

@@ -16,18 +16,18 @@ from anaburnside.analyzer import (
     analyze_disjoint_commutator,
     _pool_exponent,
     classify,
-    factor_exponent,
 )
+from anaburnside.catalog import factorize
 from anaburnside.config import Config
 from anaburnside.engine import alternating, group_exponent, psl2_group
 from anaburnside.words import parse_word
 
 
 def test_factor_exponent():
-    assert factor_exponent(30) == ((2, 1), (3, 1), (5, 1))
-    assert factor_exponent(12) == ((2, 2), (3, 1))
-    assert factor_exponent(8) == ((2, 3),)
-    assert factor_exponent(1) == ()
+    assert factorize(30) == ((2, 1), (3, 1), (5, 1))
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(8) == ((2, 3),)
+    assert factorize(1) == ()
 
 
 def test_odd_exponents_trivial_by_feit_thompson():

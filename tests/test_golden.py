@@ -58,6 +58,10 @@ COMMANDS = {
     # runs under the config file given in CONFIGS
     "analyze_x1260_cayley_cap_200000": ["analyze", "x^1260"],
     "bound_x30_d2_precision_120": ["bound", "x^30", "--d", "2"],
+    # Sym(5) products, whose transposition class closes to more than a
+    # minimal normal subgroup
+    "lambda_wreath_s5_c2": ["lambda", "--group", "wreath(symmetric(5),cyclic(2))"],
+    "lambda_direct_s5_s5": ["lambda", "--group", "direct_product(symmetric(5),symmetric(5))"],
     # long laws, where the recursion settles and the Lie grids run long
     "bound_length_1200": ["bound", "--length", "1200"],
     "bound_length_5000_d3": ["bound", "--length", "5000", "--d", "3"],

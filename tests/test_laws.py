@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle
 from anaburnside.engine import (
     QuotientGroup,
     alternating,
@@ -17,6 +18,7 @@ from anaburnside.engine import (
     group_exponent,
     is_law,
     is_simple,
+    make_group,
     max_d_generated_power,
     psl2_group,
     shortest_law_search,
@@ -139,6 +141,18 @@ def test_automorphism_counts():
     assert automorphism_count(symmetric(3)) == 6
     assert automorphism_count(alternating(5)) == 120
     assert automorphism_count(alternating(4)) == 24
+
+
+@pytest.mark.parametrize("desc", ["symmetric(3)", "alternating(4)", "symmetric(4)",
+                                  "alternating(5)", "psl2(7)", "cyclic(12)",
+                                  # endomorphisms that keep the generators' orders
+                                  # but are not bijections
+                                  "direct_product(cyclic(2),cyclic(4))", "dihedral(8)",
+                                  "direct_product(cyclic(4),cyclic(4))"])
+def test_automorphism_count_matches_scalar_loop(desc):
+    G = make_group(desc)
+    T = densify(G)
+    assert automorphism_count(G) == automorphism_count(T) == scalar_oracle.automorphism_count(T)
 
 
 def test_is_simple():

@@ -1,0 +1,178 @@
+"""Normal structure as loops over quotients.
+
+Minimal normal subgroups are checked against their definition on products
+with Sym(5), where a closure met early can be larger than the minimal
+normal subgroup it contains. The
+radical, socle, nonsolvable length and composition series are checked
+against the recursions the loops replaced (`structure_oracle`), and the
+semisimplicity rule against the per-part test.
+"""
+
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import scalar_oracle
+import structure_oracle as old
+from anaburnside.engine import (
+    PairGroup,
+    Permutation,
+    QuotientGroup,
+    SubgroupView,
+    alternating,
+    as_indexed,
+    composition_report,
+    conjugacy_classes,
+    cyclic,
+    densify,
+    direct_product,
+    is_semisimple,
+    make_group,
+    minimal_normal_subgroups,
+    nonsolvable_length,
+    psl2_group,
+    socle,
+    solvable_radical,
+    subgroup_closure,
+)
+from anaburnside.engine import structure
+
+from test_indexed_arrays import BUILDERS, substrate
+
+# group, minimal normal subgroup orders, socle order, lambda factors as
+# (kind, order), composition factor names with multiplicity
+S5_FAMILY = {
+    "direct_product(symmetric(5),cyclic(2))": (
+        [2, 60], 120, [("solvable", 2), ("semisimple", 60), ("solvable", 2)],
+        {"Alt(5)": 1, "C_2": 2}),
+    "direct_product(symmetric(5),symmetric(3))": (
+        [3, 60], 180, [("solvable", 6), ("semisimple", 60), ("solvable", 2)],
+        {"Alt(5)": 1, "C_2": 2, "C_3": 1}),
+    "direct_product(symmetric(5),alternating(5))": (
+        [60, 60], 3600, [("semisimple", 3600), ("solvable", 2)],
+        {"Alt(5)": 2, "C_2": 1}),
+    "direct_product(symmetric(5),symmetric(5))": (
+        [60, 60], 3600, [("semisimple", 3600), ("solvable", 4)],
+        {"Alt(5)": 2, "C_2": 2}),
+    "wreath(symmetric(5),cyclic(2))": (
+        [3600], 3600, [("semisimple", 3600), ("solvable", 8)],
+        {"Alt(5)": 2, "C_2": 3}),
+}
+
+# the groups of the benchmark's structure workload
+WORKLOAD_GROUPS = (
+    "psl2(4)", "psl2(5)", "psl2(7)", "psl2(8)", "symmetric(5)",
+    "direct_product(alternating(5),symmetric(4))",
+    "direct_product(alternating(5),alternating(6))",
+    "wreath(alternating(5),cyclic(2))",
+    "wreath(symmetric(4),cyclic(3))",
+)
+
+
+def _engine_closure(G, g):
+    return np.flatnonzero(structure.normal_closure_indexed(G, [g])[0]).tolist()
+
+
+def _definition(G):
+    """Minimal normal subgroups by definition; past a few hundred elements
+    the classes and closures come from the array engine, whose own
+    differential tests check them against the scalar loops."""
+    if G.n <= 720:
+        return scalar_oracle.minimal_normal_subgroups(G)
+    return scalar_oracle.minimal_normal_subgroups(G, conjugacy_classes, _engine_closure)
+
+
+@pytest.mark.parametrize("desc", sorted(S5_FAMILY))
+def test_s5_family_normal_structure(desc):
+    mins, soc, lam, comp = S5_FAMILY[desc]
+    G = as_indexed(make_group(desc))
+    got = minimal_normal_subgroups(G)
+    assert got == _definition(G)
+    assert [len(S) for S in got] == mins
+    assert len(socle(G)[0]) == soc
+    rep = nonsolvable_length(G)
+    assert rep.value == 1
+    assert [(f.kind, f.order) for f in rep.factors] == lam
+    assert Counter(f.name for f in composition_report(G).factors) == comp
+
+
+def test_semisimple_needs_the_true_minimal_normals():
+    # the closure of a transposition (all of Sym(5)) once hid Alt(5), and
+    # Alt(5) and Sym(5) multiply to |Sym(5) x Alt(5)|
+    G = as_indexed(make_group("direct_product(symmetric(5),alternating(5))"))
+    assert not is_semisimple(G)
+    assert not old.is_semisimple(G)
+
+
+def _check_against_recursions(G):
+    value, factors = old.nonsolvable_length(G)
+    rep = nonsolvable_length(G)
+    assert (rep.value, rep.factors) == (value, tuple(factors))
+    assert solvable_radical(G) == structure._frozen(old.radical(G))
+    S, gens = old.socle(G)
+    assert socle(G) == (structure._frozen(S), gens)
+    factors, series = old.composition(G)
+    comp = composition_report(G)
+    assert comp.factors == tuple(factors)
+    assert comp.series == tuple(series)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_loops_match_recursions_on_substrates(name):
+    _check_against_recursions(substrate(name))
+
+
+@pytest.mark.parametrize("desc", WORKLOAD_GROUPS + tuple(sorted(S5_FAMILY)))
+def test_loops_match_recursions_on_workload_groups(desc):
+    _check_against_recursions(as_indexed(make_group(desc)))
+
+
+def test_semisimple_rule_matches_per_part_test():
+    # criterion-08-style random direct and semidirect products
+    rng = random.Random(20261019)
+    a5 = alternating(5)
+    a5i = as_indexed(a5)
+    a5a5 = as_indexed(direct_product([a5, a5]))
+    tables = [densify(a5), densify(psl2_group(4)), densify(psl2_group(5))]
+    cyclics = [densify(cyclic(p)) for p in (2, 3, 5)]
+    small = cyclics + [densify(make_group(d)) for d in ("symmetric(3)", "alternating(4)")]
+
+    def conj_semidirect(base):
+        return PairGroup(base, base, action=lambda h, n: base.mul(base.mul(h, n), base.inv(h)))
+
+    def odd_semidirect():
+        t = Permutation.from_cycles(5, [tuple(rng.sample(range(5), 2))])
+
+        def act(h, n):
+            if h == cyclics[0].identity_index:
+                return n
+            return a5i.index_of(t * a5i.perm_of(n) * t)
+
+        return PairGroup(a5i, cyclics[0], action=act)
+
+    def twisted_diagonal():
+        r = a5.elements()[rng.randrange(60)]
+        gens = [a5a5.index_of(Permutation(list(g.images)
+                                          + [i + 5 for i in (r.inverse() * g * r).images]))
+                for g in a5.generators]
+        return SubgroupView(a5a5, subgroup_closure(a5a5, gens), gens)
+
+    builders = [
+        lambda: PairGroup(rng.choice(tables), rng.choice(tables)),
+        lambda: PairGroup(rng.choice(small), rng.choice(tables)),
+        lambda: PairGroup(rng.choice(tables), rng.choice(small)),
+        lambda: PairGroup(rng.choice(small), rng.choice(small)),
+        lambda: conj_semidirect(rng.choice(tables)),
+        lambda: QuotientGroup(a5a5, sorted(rng.choice(minimal_normal_subgroups(a5a5)))),
+        odd_semidirect,
+        twisted_diagonal,
+    ]
+    seen = Counter()
+    for _ in range(40):
+        G = rng.choice(builders)()
+        want = old.is_semisimple(G)
+        assert is_semisimple(G) == want
+        seen[want] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
