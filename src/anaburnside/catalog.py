@@ -297,7 +297,7 @@ def _max_rank_for_length(family: str, length: int, c_lower: float) -> int:
     return last
 
 
-def candidates_for_law_length(length: int, c_lower: float = Config.c_lower, d: int = 1) -> list:
+def candidates_for_law_length(length: int, c_lower: float = Config.c_lower) -> list:
     """Simple groups not excluded by the law-length lower bounds.
 
     Alternating groups up to length/c_lower, Lie entries whose lower bound is
@@ -307,8 +307,6 @@ def candidates_for_law_length(length: int, c_lower: float = Config.c_lower, d: i
     """
     if length < 1:
         raise ValueError("law length must be positive")
-    if d < 1:
-        raise ValueError("d must be positive")
     if c_lower <= 0:
         raise ValueError("c_lower must be positive")
     out = []
@@ -371,6 +369,6 @@ def catalog_table_json(max_rank: int = 10) -> str:
     return json.dumps(catalog_table_rows(max_rank), sort_keys=True, separators=(",", ":"))
 
 
-def candidates_json(length: int, c_lower: float = Config.c_lower, d: int = 1) -> str:
-    rows = [_id_row(g, c_lower) for g in candidates_for_law_length(length, c_lower, d)]
+def candidates_json(length: int, c_lower: float = Config.c_lower) -> str:
+    rows = [_id_row(g, c_lower) for g in candidates_for_law_length(length, c_lower)]
     return json.dumps(rows, sort_keys=True, separators=(",", ":"))

@@ -117,7 +117,7 @@ def _cmd_bound(args, config):
 
 def _cmd_catalog(args, config):
     if args.length is not None:
-        ids = candidates_for_law_length(args.length, c_lower=config.c_lower, d=args.d)
+        ids = candidates_for_law_length(args.length, c_lower=config.c_lower)
         result = {"length": args.length, "candidates": [str(g) for g in ids]}
         lines = [str(g) for g in ids]
     else:
@@ -157,13 +157,13 @@ def _cmd_lawcheck(args, config):
 def _cmd_lambda(args, config):
     G = _load_group(args, config)
     # one index under the configured cap serves lambda and composition; a
-    # verified series works on generators and needs none
+    # verified series indexes only the factors it certifies, under that cap
     Gi = None
     if G.order() <= config.cayley_cap:
         Gi = as_indexed(G, cap=config.cayley_cap)
     if args.series:
         descriptors = [s.strip() for s in args.series.split(",")]
-        report = verify_series_lambda(G, descriptors)
+        report = verify_series_lambda(G, descriptors, config.cayley_cap)
     elif Gi is None:
         raise CapExceeded("order %d exceeds cap %d" % (G.order(), config.cayley_cap))
     else:
@@ -228,7 +228,6 @@ def _build_parser():
 
     p = sub.add_parser("catalog", help="simple group tables and candidates")
     p.add_argument("--length", type=int)
-    p.add_argument("--d", type=int, default=1)
     p.add_argument("--max-rank", type=int, default=10)
     p.add_argument("--json", action="store_true")
 

@@ -1,10 +1,9 @@
 """Constructors for the supported group descriptors."""
 
 import json
-import math
 import re
 
-from ..catalog import factorize
+from ..catalog import exact_order, factorize, psl2
 from ..config import Config
 from ..errors import CapExceeded
 from .indexed import CyclicGroup, TableGroup
@@ -138,7 +137,7 @@ def psl2_group(q, degree_cap=Config.degree_cap):
 
     Point i < q is the field element i, point q is the point at infinity.
     Generated by all upper and lower transvections; the order is asserted
-    against q(q^2-1)/gcd(2,q-1).
+    against the catalog's `exact_order`.
     """
     if q > PSL_Q_CAP:
         raise CapExceeded("psl2 parameter %d exceeds %d" % (q, PSL_Q_CAP))
@@ -161,7 +160,7 @@ def psl2_group(q, degree_cap=Config.degree_cap):
         gens.append(moebius(1, c, 0, 1))
         gens.append(moebius(1, 0, c, 1))
     group = PermGroup(q + 1, gens, degree_cap)
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
+    expected = exact_order(psl2(q))
     if group.order() != expected:
         raise RuntimeError("psl2(%d) order %d != %d" % (q, group.order(), expected))
     return group

@@ -199,8 +199,8 @@ class IndexedGroup:
     def elements(self):
         return range(self.n)
 
-    def label(self, i):
-        return str(i)
+    def random_element(self, rng):
+        return rng.randrange(self.n)
 
     def _find_generators(self):
         """Greedy generating set by ascending element index."""
@@ -312,9 +312,6 @@ class PermIndexedGroup(IndexedGroup):
     def index_of(self, perm):
         return int(self.index_of_rows([perm.images])[0])
 
-    def index_of_row(self, row):
-        return int(self.index_of_rows([row])[0])
-
     def perm_of(self, i):
         return Permutation(int(p) for p in self.rows[i])
 
@@ -326,9 +323,6 @@ class PermIndexedGroup(IndexedGroup):
 
     def _compute_inverses(self):
         return self._lookup(np.argsort(self.rows, axis=1).astype(self.rows.dtype))
-
-    def label(self, i):
-        return repr(self.perm_of(i))
 
 
 class SubgroupView(IndexedGroup):
@@ -356,9 +350,6 @@ class SubgroupView(IndexedGroup):
 
     def _compute_inverses(self):
         return self._local[self.parent.inverses()[self.globals]]
-
-    def label(self, i):
-        return self.parent.label(int(self.globals[i]))
 
 
 class QuotientGroup(IndexedGroup):
@@ -411,9 +402,6 @@ class QuotientGroup(IndexedGroup):
     def preimage(self, coset_ids):
         wanted = np.fromiter(coset_ids, dtype=np.intp)
         return frozenset(np.flatnonzero(np.isin(self.labels, wanted)).tolist())
-
-    def label(self, i):
-        return "[%s]" % self.parent.label(int(self.reps[i]))
 
 
 class PairGroup(IndexedGroup):
@@ -477,10 +465,6 @@ class PairGroup(IndexedGroup):
         n1, h1 = self.split(np.arange(self.n))
         hinv = self.right.inverses()[h1]
         return self.join(self._acted[hinv, self.left.inverses()[n1]], hinv)
-
-    def label(self, i):
-        n1, h1 = self.split(i)
-        return "(%s, %s)" % (self.left.label(n1), self.right.label(h1))
 
 
 def as_indexed(group, cap=Config.cayley_cap):

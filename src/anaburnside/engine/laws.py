@@ -1,5 +1,6 @@
 """Word laws: exhaustive and sampled checking, shortest laws, generation."""
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from ..errors import CapExceeded
 from ..words import Word, evaluate
 from .indexed import PermIndexedGroup, as_indexed
 from .perm import PermGroup
-from .structure import is_simple, subgroup_closure
+from .structure import conjugacy_classes, is_simple, subgroup_closure
 
 _CHUNK = 1 << 18
 _TUPLE_WORK_CAP = 20_000_000
@@ -130,19 +131,13 @@ def _is_law_indexed(word, Gi):
 
 
 def _is_law_sampled(word, G, samples, seed):
+    if not isinstance(G, PermGroup):
+        G = as_indexed(G)
     rng = random.Random(seed)
-    rank = word.rank
-    if isinstance(G, PermGroup):
-        ident = G.identity()
-        for k in range(samples):
-            assignment = tuple(G.random_element(rng) for _ in range(rank))
-            if evaluate(word, assignment, G) != ident:
-                return LawVerdict(False, assignment, "sampled", k + 1, seed=seed)
-        return LawVerdict(True, None, "sampled", samples, seed=seed)
-    Gi = as_indexed(G)
+    ident = G.identity()
     for k in range(samples):
-        assignment = tuple(rng.randrange(Gi.n) for _ in range(rank))
-        if evaluate(word, assignment, Gi) != Gi.identity_index:
+        assignment = tuple(G.random_element(rng) for _ in range(word.rank))
+        if evaluate(word, assignment, G) != ident:
             return LawVerdict(False, assignment, "sampled", k + 1, seed=seed)
     return LawVerdict(True, None, "sampled", samples, seed=seed)
 
@@ -254,7 +249,12 @@ def shortest_law_search(G, max_len, num_vars, seed=Config.seed,
 # generating tuples and automorphisms
 
 def count_generating_tuples(G, d, exhaust_cap=Config.exhaust_cap):
-    """Number of d-tuples whose entries generate the whole group."""
+    """Number of d-tuples whose entries generate the whole group.
+
+    Generation is invariant under simultaneous conjugation, so the count is
+    the sum over conjugacy classes C of |C| times the number of generating
+    tuples whose first entry is C's least element.
+    """
     Gi = as_indexed(G)
     n = Gi.n
     if n ** d > exhaust_cap:
@@ -264,19 +264,9 @@ def count_generating_tuples(G, d, exhaust_cap=Config.exhaust_cap):
     if d == 1:
         return int(np.count_nonzero(Gi.orders() == n))
     count = 0
-    tup = [0] * d
-
-    def rec(pos):
-        nonlocal count
-        if pos == d:
-            if len(subgroup_closure(Gi, tup)) == n:
-                count += 1
-            return
-        for i in range(n):
-            tup[pos] = i
-            rec(pos + 1)
-
-    rec(0)
+    for cls in conjugacy_classes(Gi):
+        count += len(cls) * sum(len(subgroup_closure(Gi, (cls[0],) + rest)) == n
+                                for rest in itertools.product(range(n), repeat=d - 1))
     return count
 
 

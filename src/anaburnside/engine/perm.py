@@ -388,14 +388,11 @@ class PermGroup:
         for g in self.generators:
             imgs = [index_of[g(blk[0])] for blk in blocks]
             gens.append(Permutation(imgs))
-        return PermGroup(len(blocks), gens), index_of
+        return PermGroup(len(blocks), gens, degree_cap=len(blocks)), index_of
 
     def block_kernel(self, blocks):
         """Kernel of the action on `blocks`, certified by an order product."""
-        index_of = {}
-        for i, blk in enumerate(blocks):
-            for p in blk:
-                index_of[p] = i
+        image, index_of = self.block_action(blocks)
         b = len(blocks)
         aug_gens = []
         for g in self.generators:
@@ -406,7 +403,6 @@ class PermGroup:
         kernel_gens = aug.pointwise_stabilizer_gens(range(self.degree, self.degree + b))
         restricted = [Permutation(g.images[: self.degree]) for g in kernel_gens]
         kernel = PermGroup(self.degree, restricted, degree_cap=self.degree)
-        image, _ = self.block_action(blocks)
         if kernel.order() * image.order() != self.order():
             raise RuntimeError("block kernel order check failed")
         return kernel
@@ -447,12 +443,6 @@ class PermGroup:
             if nxt.order() == 1:
                 break
         return series
-
-    def is_perfect(self):
-        return self.derived_subgroup().order() == self.order()
-
-    def is_solvable(self):
-        return self.derived_series()[-1].order() == 1
 
     def is_subgroup_of(self, other):
         return all(other.contains(g) for g in self.generators)

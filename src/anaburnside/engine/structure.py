@@ -5,11 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..catalog import factorize, is_prime_power
+from ..catalog import AltId, admissible_q_values, exact_order, factorize, psl2
+from ..config import Config
 from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
 from .perm import PermGroup, Permutation
-
-SEMISIMPLE_INDEX_CAP = 30_000
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +214,14 @@ def socle(G):
 # ---------------------------------------------------------------------------
 # composition factors
 
-_ALT_ORDERS = {math.factorial(m) // 2: "Alt(%d)" % m for m in range(5, 21)}
+_ALT_ORDERS = {exact_order(AltId(m)): "Alt(%d)" % m for m in range(5, 21)}
 
 
 def _psl2_orders():
     out = {}
-    for q in range(4, 1024):
-        if not is_prime_power(q):
-            continue
-        order = q * (q * q - 1) // math.gcd(2, q - 1)
-        out.setdefault(order, "PSL(2,%d)" % q)
+    for q in admissible_q_values("A", 1023):
+        if q >= 4:
+            out.setdefault(exact_order(psl2(q)), "PSL(2,%d)" % q)
     return out
 
 
@@ -422,38 +419,25 @@ def nonsolvable_length(G):
 def _orbit_restriction(group, orbit):
     pos = {p: i for i, p in enumerate(orbit)}
     gens = [Permutation([pos[g(p)] for p in orbit]) for g in group.generators]
-    return PermGroup(len(orbit), gens)
+    return PermGroup(len(orbit), gens, degree_cap=len(orbit))
 
 
-def _is_simple_nonabelian(group):
-    Gi = as_indexed(group, cap=SEMISIMPLE_INDEX_CAP)
-    return is_simple(Gi) and not _gens_commute(Gi, Gi.generator_indices)
-
-
-def _certify_semisimple(group):
+def _certify_semisimple(group, cayley_cap):
     """(ok, certificate) for a permutation group being semisimple.
 
-    Small groups are checked on the element level. Larger ones use the
-    orbit decomposition: when the orbit restrictions are simple nonabelian
-    and their orders multiply to the group order, the group is their
-    direct product.
+    G embeds in the direct product of its orbit restrictions. When their
+    orders multiply to |G| it is that product, and semisimple iff each
+    restriction is; otherwise G itself is checked. Each check is
+    `is_semisimple` on a group indexed under `cayley_cap`.
     """
-    if group.order() <= SEMISIMPLE_INDEX_CAP:
-        if is_semisimple(group):
-            return True, "element-level check: product of nonabelian simple minimal normals"
-        return False, "element-level check failed"
-    orbits = group.orbits()
-    restrictions = [_orbit_restriction(group, o) for o in orbits]
-    product = 1
+    restrictions = [_orbit_restriction(group, o) for o in group.orbits()]
+    if math.prod(r.order() for r in restrictions) != group.order():
+        restrictions = [group]
     for r in restrictions:
-        product *= r.order()
-    if product != group.order():
-        return False, "orbit restriction orders do not multiply to the group order"
-    for r in restrictions:
-        if not _is_simple_nonabelian(r):
-            return False, "an orbit restriction is not simple nonabelian"
-    return True, ("orbit decomposition: %d restrictions, simple nonabelian, "
-                  "orders multiply to the group order" % len(restrictions))
+        if not is_semisimple(as_indexed(r, cap=cayley_cap)):
+            return False, "element-level check failed"
+    return True, ("element-level check: %d direct factors, each a product of "
+                  "nonabelian simple minimal normals" % len(restrictions))
 
 
 def resolve_series_descriptor(G, descriptor):
@@ -463,7 +447,7 @@ def resolve_series_descriptor(G, descriptor):
     """
     d = descriptor.strip()
     if d == "trivial":
-        return PermGroup(G.degree, []), None
+        return PermGroup(G.degree, [], degree_cap=G.degree), None
     if d == "full":
         return G, None
     if d.startswith("derived:"):
@@ -484,12 +468,14 @@ def resolve_series_descriptor(G, descriptor):
     raise ValueError("unknown series descriptor: %r" % descriptor)
 
 
-def verify_series_lambda(G, descriptors):
+def verify_series_lambda(G, descriptors, cayley_cap=Config.cayley_cap):
     """Upper bound for the nonsolvable length from a user-supplied series.
 
     Each descriptor names a subgroup; the chain must ascend with each term
     normal in the next. Every factor is certified solvable or semisimple;
     the bound is the number of semisimple (hence nonsolvable) factors.
+    Solvability is read from generators; every group a semisimplicity
+    check indexes has order at most `cayley_cap`.
     """
     if not isinstance(G, PermGroup):
         raise TypeError("verify_series_lambda expects a permutation group")
@@ -523,18 +509,17 @@ def verify_series_lambda(G, descriptors):
             factors.append(LambdaFactor(desc, ratio, "solvable", False,
                                         "perfect core of the upper term lies in the lower term"))
             continue
-        ok = False
         if lo.order() == 1:
-            ok, cert = _certify_semisimple(hi)
+            ok, cert = _certify_semisimple(hi, cayley_cap)
         elif blocks_of[i] is not None and hi.order() == G.order():
             image, _ = G.block_action(blocks_of[i])
             if image.order() != ratio:
                 raise RuntimeError("block image order does not match the factor")
-            ok, cert = _certify_semisimple(image)
+            ok, cert = _certify_semisimple(image, cayley_cap)
             cert = "factor is the block-action image; " + cert
-        elif hi.order() <= SEMISIMPLE_INDEX_CAP:
-            Hi = as_indexed(hi)
-            Q = QuotientGroup(Hi, Hi.index_of_rows(as_indexed(lo).rows))
+        elif hi.order() <= cayley_cap:
+            Hi = as_indexed(hi, cap=cayley_cap)
+            Q = QuotientGroup(Hi, Hi.index_of_rows(as_indexed(lo, cap=cayley_cap).rows))
             ok, cert = (True, "element-level quotient check") if is_semisimple(Q) \
                 else (False, "element-level quotient check failed")
         else:

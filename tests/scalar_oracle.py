@@ -11,9 +11,14 @@ Python set.
 
 import bisect
 import functools
+import itertools
+import random
 
-from anaburnside.engine import (CyclicGroup, PairGroup, PermGroup, PermIndexedGroup,
-                                Permutation, QuotientGroup, SubgroupView, TableGroup)
+from anaburnside.engine import (CyclicGroup, LawVerdict, PairGroup, PermGroup,
+                                PermIndexedGroup, Permutation, QuotientGroup, SubgroupView,
+                                TableGroup, as_indexed)
+from anaburnside.engine import subgroup_closure as array_closure
+from anaburnside.words import evaluate
 
 
 def _pair_action(G):
@@ -334,3 +339,33 @@ def automorphism_count(G):
                    for x in order_bfs for g in (a, b)):
                 count += 1
     return count
+
+
+def count_generating_tuples(G, d):
+    """Generating d-tuples of an indexed group, one closure per tuple. The
+    closures come from the engine's `subgroup_closure`, which is checked
+    against the scalar one above; the scalar closure would take minutes on
+    PSL(2,7) at d = 2."""
+    n = G.n
+    return sum(len(array_closure(G, tup)) == n
+               for tup in itertools.product(range(n), repeat=d))
+
+
+def is_law_sampled(word, G, samples, seed):
+    """The sampled law check with one loop per substrate: permutation
+    groups draw from their stabilizer chain, everything else draws indexes."""
+    rng = random.Random(seed)
+    rank = word.rank
+    if isinstance(G, PermGroup):
+        ident = G.identity()
+        for k in range(samples):
+            assignment = tuple(G.random_element(rng) for _ in range(rank))
+            if evaluate(word, assignment, G) != ident:
+                return LawVerdict(False, assignment, "sampled", k + 1, seed=seed)
+        return LawVerdict(True, None, "sampled", samples, seed=seed)
+    Gi = as_indexed(G)
+    for k in range(samples):
+        assignment = tuple(rng.randrange(Gi.n) for _ in range(rank))
+        if evaluate(word, assignment, Gi) != Gi.identity_index:
+            return LawVerdict(False, assignment, "sampled", k + 1, seed=seed)
+    return LawVerdict(True, None, "sampled", samples, seed=seed)

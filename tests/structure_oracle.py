@@ -1,8 +1,9 @@
 """The recursive normal-structure walks the quotient loops replaced.
 
 These are the earlier recursions for the solvable radical, the socle, the
-radical-socle series and the composition series, and the per-part
-semisimplicity test. They are kept as the oracle for the differential tests
+radical-socle series and the composition series, the per-part
+semisimplicity test, and the two-rule semisimplicity certificate of
+permutation groups with its own index cap. They are kept as the oracle for the differential tests
 of `engine.structure`. They share its minimal normal subgroups, its normal
 closures and its quotients, which have their own differential tests; what
 they check is the walk: each recursion tests solvability at every level,
@@ -12,7 +13,7 @@ back through nested `lift` maps, and ends on a quotient by the whole group.
 
 import numpy as np
 
-from anaburnside.engine import QuotientGroup, SubgroupView
+from anaburnside.engine import QuotientGroup, SubgroupView, as_indexed
 from anaburnside.engine.indexed import Closure
 from anaburnside.engine.structure import (
     CompositionFactor,
@@ -21,10 +22,13 @@ from anaburnside.engine.structure import (
     _gens_commute,
     _mask,
     _minimal_normals_with_gens,
+    _orbit_restriction,
     _size,
     normal_closure_indexed,
     simple_name,
 )
+
+SEMISIMPLE_INDEX_CAP = 30_000
 
 
 def _derived_masks(Gi):
@@ -148,3 +152,34 @@ def is_semisimple(Gi):
             return False
         product *= _size(S)
     return product == Gi.n
+
+
+def _is_simple_nonabelian(group):
+    Gi = as_indexed(group, cap=SEMISIMPLE_INDEX_CAP)
+    return is_simple(Gi) and not _gens_commute(Gi, Gi.generator_indices)
+
+
+def certify_semisimple(group):
+    """(ok, certificate) for a permutation group being semisimple.
+
+    Small groups are checked on the element level. Larger ones use the
+    orbit decomposition: when the orbit restrictions are simple nonabelian
+    and their orders multiply to the group order, the group is their
+    direct product.
+    """
+    if group.order() <= SEMISIMPLE_INDEX_CAP:
+        if is_semisimple(as_indexed(group)):
+            return True, "element-level check: product of nonabelian simple minimal normals"
+        return False, "element-level check failed"
+    orbits = group.orbits()
+    restrictions = [_orbit_restriction(group, o) for o in orbits]
+    product = 1
+    for r in restrictions:
+        product *= r.order()
+    if product != group.order():
+        return False, "orbit restriction orders do not multiply to the group order"
+    for r in restrictions:
+        if not _is_simple_nonabelian(r):
+            return False, "an orbit restriction is not simple nonabelian"
+    return True, ("orbit decomposition: %d restrictions, simple nonabelian, "
+                  "orders multiply to the group order" % len(restrictions))

@@ -200,6 +200,43 @@ def test_lawcheck_reads_cayley_cap(capsys, tmp_path):
     assert "cap 1000" in err
 
 
+def test_lambda_series_reads_cayley_cap(capsys, tmp_path):
+    # certifying Alt(7) indexes all 2520 elements, past the configured cap
+    code, out, err = run(capsys, ["--config", _config_file(tmp_path, cayley_cap=1000),
+                                  "lambda", "--group", "alt7", "--series", "trivial,full",
+                                  "--json"])
+    assert code == 3
+    assert out == ""
+    assert "cap 1000" in err
+
+
+def test_lambda_series_solvable_factor_indexes_nothing(capsys, tmp_path):
+    # Sym(4) wr C2 has order 1152 > 1000, and its solvability is read from
+    # generators
+    code, out, _ = run(capsys, ["--config", _config_file(tmp_path, cayley_cap=1000),
+                                "lambda", "--group", "wreath(symmetric(4),cyclic(2))",
+                                "--series", "trivial,full", "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["value"] == 0
+    assert [(f["kind"], f["order"]) for f in result["factors"]] == [("solvable", 1152)]
+
+
+def test_lambda_series_reads_degree_cap(capsys, tmp_path):
+    # the trivial term has the group's degree, 65, above the default cap
+    code, out, _ = run(capsys, ["--config", _config_file(tmp_path, degree_cap=100),
+                                "lambda", "--group", "cyc65", "--series", "trivial,full",
+                                "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == 0
+
+
+def test_catalog_has_no_d_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["catalog", "--length", "30", "--d", "2"])
+    assert "unrecognized arguments: --d 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("group", ["dih12", "direct_product(alternating(5),cyclic(5))",
                                    "wreath(cyclic(3),cyclic(3))", "alt9", "<degree 9 file>"])
 def test_group_builders_read_degree_cap(capsys, tmp_path, group):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import scalar_oracle
 from anaburnside.engine import (
+    CyclicGroup,
     QuotientGroup,
     alternating,
+    as_indexed,
     automorphism_count,
     count_generating_tuples,
     cyclic,
@@ -82,6 +84,33 @@ def test_is_law_sampled_mode():
     assert v.witness is not None
 
 
+SAMPLED_GROUPS = {
+    "perm_alt6": lambda: alternating(6),
+    "table_alt6": lambda: densify(alternating(6)),
+    "cyclic_20000": lambda: CyclicGroup(20000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_GROUPS))
+def test_sampled_mode_matches_two_loop_sampler(name):
+    G = SAMPLED_GROUPS[name]()
+    verdicts = set()
+    for text in ("x^60", "x^5", "x^20000", "[x,y]", "[x,y]^30", "x^2 y^3 x^-2 y^-3"):
+        w = parse_word(text)
+        for seed in (1, 7, 99, 20260816):
+            got = is_law(w, G, mode="sampled", samples=64, seed=seed)
+            want = scalar_oracle.is_law_sampled(w, G, 64, seed)
+            assert (got.holds, got.witness, got.checked, got.seed) == \
+                (want.holds, want.witness, want.checked, want.seed), (text, seed)
+            verdicts.add(got.holds)
+    assert verdicts == {True, False}
+
+
+def test_sampled_mode_rejects_unknown_handles():
+    with pytest.raises(TypeError):
+        is_law(parse_word("x^2"), object(), mode="sampled")
+
+
 def test_is_law_checked_counts():
     v = is_law(parse_word("x^30"), alternating(5))
     assert v.checked == 60
@@ -132,6 +161,23 @@ def test_count_generating_tuples():
     assert count_generating_tuples(alternating(5), 2) == 2280
     assert count_generating_tuples(cyclic(6), 1) == 2
     assert count_generating_tuples(symmetric(3), 2) == 18
+
+
+@pytest.mark.parametrize("desc, d", [
+    (desc, d) for desc in ("symmetric(3)", "alternating(4)", "symmetric(4)", "alternating(5)",
+                           "psl2(7)", "cyclic(12)", "dihedral(8)") for d in (1, 2)
+] + [("symmetric(3)", 3), ("alternating(4)", 3)])
+def test_count_generating_tuples_matches_tuple_loop(desc, d):
+    G = as_indexed(make_group(desc))
+    assert count_generating_tuples(G, d) == scalar_oracle.count_generating_tuples(G, d)
+
+
+def test_count_generating_tuples_caps():
+    with pytest.raises(CapExceeded):
+        count_generating_tuples(alternating(5), 2, exhaust_cap=3599)
+    assert count_generating_tuples(alternating(5), 2, exhaust_cap=3600) == 2280
+    with pytest.raises(CapExceeded):
+        count_generating_tuples(alternating(6), 2)
 
 
 def test_automorphism_counts():

