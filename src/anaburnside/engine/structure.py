@@ -425,13 +425,14 @@ def _orbit_restriction(group, orbit):
 def _certify_semisimple(group, cayley_cap):
     """(ok, certificate) for a permutation group being semisimple.
 
-    G embeds in the direct product of its orbit restrictions. When their
-    orders multiply to |G| it is that product, and semisimple iff each
-    restriction is; otherwise G itself is checked. Each check is
-    `is_semisimple` on a group indexed under `cayley_cap`.
+    G embeds in the direct product of its restrictions to its nontrivial
+    orbits. When there are two or more and their orders multiply to |G| it
+    is that product, and semisimple iff each restriction is; otherwise G
+    itself is checked. Each check is `is_semisimple` on a group indexed
+    under `cayley_cap`.
     """
-    restrictions = [_orbit_restriction(group, o) for o in group.orbits()]
-    if math.prod(r.order() for r in restrictions) != group.order():
+    restrictions = [_orbit_restriction(group, o) for o in group.orbits() if len(o) > 1]
+    if len(restrictions) < 2 or math.prod(r.order() for r in restrictions) != group.order():
         restrictions = [group]
     for r in restrictions:
         if not is_semisimple(as_indexed(r, cap=cayley_cap)):

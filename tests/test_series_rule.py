@@ -69,6 +69,19 @@ def test_diagonal_group_is_checked_whole_under_the_cap():
         verify_series_lambda(G, ["trivial", "full"], cayley_cap=50)
 
 
+def test_fixed_points_are_not_factors():
+    """A fixed point restricts to the trivial group, which is not semisimple
+    and does not split the group."""
+    G = PermGroup(6, [Permutation(list(g.images) + [5]) for g in alternating(5).generators])
+    rep = verify_series_lambda(G, ["trivial", "full"])
+    assert [(f.kind, f.order) for f in rep.factors] == [("semisimple", 60)]
+    rep = verify_series_lambda(make_group("direct_product(alternating(5),symmetric(4))"),
+                               ["trivial", "derived:3", "full"])
+    assert rep.value == 1
+    assert [(f.kind, f.order) for f in rep.factors] == [("semisimple", 60),
+                                                        ("solvable", 24)]
+
+
 @pytest.mark.parametrize("series", [["trivial", "derived:1", "full"],
                                     ["trivial", "block_kernel:5", "derived:1", "full"]])
 def test_derived_descriptors(series):
@@ -91,10 +104,11 @@ def _perm_group(name):
     return make_group(name)
 
 
-def _with_block_groups(G):
-    """G, and for a transitive G the kernel and image of each minimal block
-    system."""
-    out = [G]
+def _related_groups(G):
+    """G, the later terms of its derived series, and for a transitive G the
+    kernel and image of each minimal block system. The derived terms of the
+    direct products are semisimple groups with fixed points."""
+    out = G.derived_series()
     if G.is_transitive():
         for blocks in G.nontrivial_block_systems():
             out += [G.block_kernel(blocks), G.block_action(blocks)[0]]
@@ -105,7 +119,7 @@ def _with_block_groups(G):
                          + sorted(set(WORKLOAD_GROUPS + SERIES_GROUPS) | set(S5_FAMILY)))
 def test_rule_matches_the_two_rule_certificate(name):
     answered = 0
-    for H in _with_block_groups(_perm_group(name)):
+    for H in _related_groups(_perm_group(name)):
         try:
             want, cert = old.certify_semisimple(H)
         except CapExceeded:
