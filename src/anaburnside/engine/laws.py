@@ -14,6 +14,7 @@ from .indexed import PermIndexedGroup, as_indexed
 from .perm import PermGroup
 from .structure import conjugacy_classes, is_simple, subgroup_closure
 
+_FIRST_SPAN = 1 << 12
 _CHUNK = 1 << 18
 _TUPLE_WORK_CAP = 20_000_000
 
@@ -73,6 +74,17 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
     return _is_law_indexed(word, Gi)
 
 
+def _spans(total):
+    """Consecutive [start, stop) ranges covering 0..total. The first holds
+    2^12 assignments and each next one twice the last, up to `_CHUNK`, so a
+    refuted law stops within about twice its failure position."""
+    start, size = 0, _FIRST_SPAN
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, min(2 * size, _CHUNK)
+
+
 def _assignment_columns(total, start, stop, n, rank):
     idx = np.arange(start, stop, dtype=np.int64)
     cols = []
@@ -92,8 +104,7 @@ def _is_law_perm(word, Gi):
             powers[(v, e)] = _power_rows(rows, e)
     total = n ** rank
     identity = np.arange(deg, dtype=rows.dtype)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+    for start, stop in _spans(total):
         cols = _assignment_columns(total, start, stop, n, rank)
         m = stop - start
         state = np.broadcast_to(identity, (m, deg)).copy()
@@ -116,8 +127,7 @@ def _is_law_indexed(word, Gi):
         if (v, e) not in powers:
             powers[(v, e)] = Gi.powers(e)
     total = n ** rank
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+    for start, stop in _spans(total):
         cols = _assignment_columns(total, start, stop, n, rank)
         state = np.full(stop - start, Gi.identity_index, dtype=np.intp)
         for v, e in word.syllables:

@@ -24,12 +24,21 @@ class Permutation:
         imgs = tuple(images)
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError("images must be a bijection of 0..degree-1")
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "_hash", hash(imgs))
+        self.images = imgs
+        self._hash = hash(imgs)
+
+    @classmethod
+    def _trusted(cls, imgs):
+        """A permutation from an images tuple already known to be a bijection
+        of 0..len-1, such as a product or inverse of bijections: no check."""
+        perm = object.__new__(cls)
+        perm.images = imgs
+        perm._hash = hash(imgs)
+        return perm
 
     @staticmethod
     def identity(degree):
-        return Permutation(range(degree))
+        return Permutation._trusted(tuple(range(degree)))
 
     @staticmethod
     def from_cycles(degree, cycles):
@@ -48,13 +57,15 @@ class Permutation:
 
     def __mul__(self, other):
         a, b = self.images, other.images
-        return Permutation(b[p] for p in a)
+        if len(a) != len(b):
+            raise ValueError("degrees %d and %d differ" % (len(a), len(b)))
+        return Permutation._trusted(tuple([b[p] for p in a]))
 
     def inverse(self):
         imgs = [0] * len(self.images)
         for p, q in enumerate(self.images):
             imgs[q] = p
-        return Permutation(imgs)
+        return Permutation._trusted(tuple(imgs))
 
     def is_identity(self):
         return all(p == q for p, q in enumerate(self.images))
@@ -77,7 +88,7 @@ class Permutation:
         return out
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def one_line(self):
         """1-based image list, the on-disk convention."""

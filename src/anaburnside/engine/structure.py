@@ -117,9 +117,10 @@ def _minimal_normals_with_gens(G):
     prime-order elements, so closures of prime-order class representatives
     are a complete candidate list (Holt, Eick & O'Brien, ch. 4). Every
     representative gets its own closure: one lying in an earlier closure
-    may still generate a smaller one. Candidates that grow past half the
-    group are the whole group; candidates swallowing an earlier proper
-    candidate are not minimal. If nothing proper remains the group is simple.
+    may still generate a smaller one, so that closure stops once it grows
+    past half the earlier one. Candidates that grow past half the group are
+    the whole group; candidates swallowing an earlier proper candidate are
+    not minimal. If nothing proper remains the group is simple.
     """
     if G.n == 1:
         return []
@@ -130,8 +131,11 @@ def _minimal_normals_with_gens(G):
     reps = sorted(zip(sizes[prime].tolist(), classes[prime].tolist()))
     found = []
     for _, rep in reps:
+        # a normal subgroup inside an earlier closure S is S, found
+        # already, or at most half of S
+        cap = min([G.n] + [_size(S) for S, _ in found if S[rep]]) // 2
         result = normal_closure_indexed(
-            G, [rep], cap=G.n // 2, reject_supersets=[S for S, _ in found])
+            G, [rep], cap=cap, reject_supersets=[S for S, _ in found])
         if result is not None:
             found.append(result)
     minimal = []

@@ -222,7 +222,9 @@ ONE = TowerNumber(1, 0)
 
 
 def is_zero(x: TowerNumber) -> bool:
-    return x.height == 0 and x.index == 0
+    """Zero up to resolution, as `cmp_t` compares: a product with a factor
+    that compares equal to zero is zero, however large the other factor."""
+    return x.height == 0 and cmp_t(x, ZERO) == 0
 
 
 def is_one(x: TowerNumber) -> bool:

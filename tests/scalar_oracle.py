@@ -369,3 +369,34 @@ def is_law_sampled(word, G, samples, seed):
         if evaluate(word, assignment, Gi) != Gi.identity_index:
             return LawVerdict(False, assignment, "sampled", k + 1, seed=seed)
     return LawVerdict(True, None, "sampled", samples, seed=seed)
+
+
+class _Composition:
+    """`words.evaluate` handle for permutations of one degree: composition
+    and inversion of the images, without the group's membership check."""
+
+    def __init__(self, degree):
+        self.degree = degree
+
+    def identity(self):
+        return Permutation.identity(self.degree)
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inverse()
+
+
+def is_law_exhaustive(word, group):
+    """The exhaustive law check of a permutation group as one row-major loop
+    of `words.evaluate`: assignments run over the breadth-first elements
+    sorted by their image tuples (the order `as_indexed` indexes them), and
+    the loop stops at the first one that is not the identity."""
+    elements = sorted(perm_elements(group), key=lambda p: p.images)
+    handle = _Composition(group.degree)
+    ident = handle.identity()
+    for k, assignment in enumerate(itertools.product(elements, repeat=word.rank)):
+        if evaluate(word, assignment, handle) != ident:
+            return LawVerdict(False, assignment, "exhaustive", k + 1)
+    return LawVerdict(True, None, "exhaustive", len(elements) ** word.rank)

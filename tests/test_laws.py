@@ -10,6 +10,7 @@ import scalar_oracle
 from anaburnside.engine import (
     CyclicGroup,
     QuotientGroup,
+    SubgroupView,
     alternating,
     as_indexed,
     automorphism_count,
@@ -26,6 +27,8 @@ from anaburnside.engine import (
     shortest_law_search,
     symmetric,
 )
+from anaburnside.engine import laws
+from anaburnside.engine.indexed import DENSE_CAP
 from anaburnside.errors import CapExceeded
 from anaburnside.words import Word, evaluate, parse_word, to_string
 
@@ -116,6 +119,85 @@ def test_is_law_checked_counts():
     assert v.checked == 60
     v = is_law(parse_word("[x,y]"), cyclic(6))
     assert v.checked == 36
+
+
+def test_spans_double_up_to_the_chunk():
+    spans = list(laws._spans(10 ** 6))
+    assert spans[0] == (0, 1 << 12)
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert spans[-1][1] == 10 ** 6
+    sizes = [stop - start for start, stop in spans]
+    assert sizes[:7] == [1 << k for k in range(12, 19)]
+    assert max(sizes) == laws._CHUNK
+    assert list(laws._spans(5)) == [(0, 5)]
+
+
+# (group, word, first failing assignment or None): failures in the first
+# span, past its boundary, in the last partial span, and a rank-3 law
+EXHAUSTIVE_CASES = [
+    ("symmetric(4)", "[x,y]", 27),
+    ("direct_product(alternating(5),symmetric(4))", "[x,y]", 1443),
+    ("wreath(alternating(5),cyclic(2))", "x^30", 3604),
+    ("wreath(alternating(5),cyclic(2))", "[x,y]", 7204),
+    ("wreath(cyclic(7),cyclic(2))", "[x^7,y]", 4804),
+    ("wreath(cyclic(5),cyclic(2))", "[x^5,y][x^5,z]", 62502),
+    ("symmetric(3)", "[[x,y],[z,x]]", None),
+]
+
+
+def _indexed_twin(G):
+    """A substrate of the other exhaustive path with the same element
+    indexes: the Cayley table, or past the dense cap a view of every element."""
+    Gi = as_indexed(G)
+    if Gi.n <= DENSE_CAP:
+        return densify(G)
+    return SubgroupView(Gi, range(Gi.n), Gi.generator_indices)
+
+
+@functools.lru_cache(maxsize=None)
+def _exhaustive_case(desc, text):
+    G = make_group(desc)
+    w = parse_word(text)
+    return G, w, scalar_oracle.is_law_exhaustive(w, G)
+
+
+@pytest.mark.parametrize("desc, text, fails_at", EXHAUSTIVE_CASES)
+def test_is_law_matches_scalar_loop_on_both_paths(desc, text, fails_at):
+    G, w, want = _exhaustive_case(desc, text)
+    assert want.checked == (fails_at or G.order() ** w.rank)
+    assert want.holds == (fails_at is None)
+    got = is_law(w, G)
+    assert (got.holds, got.witness, got.checked) == (want.holds, want.witness, want.checked)
+    twin = is_law(w, _indexed_twin(G))
+    index = None if want.holds else tuple(as_indexed(G).index_of(p) for p in want.witness)
+    assert (twin.holds, twin.witness, twin.checked) == (want.holds, index, want.checked)
+
+
+def test_last_partial_span_is_covered():
+    G, w, want = _exhaustive_case("wreath(cyclic(7),cyclic(2))", "[x^7,y]")
+    *_, (a, b), (start, stop) = laws._spans(G.order() ** w.rank)
+    assert stop - start < 2 * (b - a)
+    assert start < want.checked <= stop
+
+
+@pytest.mark.parametrize("desc, text, fails_at", EXHAUSTIVE_CASES)
+def test_refuted_law_builds_rows_near_its_failure(desc, text, fails_at, monkeypatch):
+    G, w, want = _exhaustive_case(desc, text)
+    built = []
+    columns = laws._assignment_columns
+
+    def counted(total, start, stop, n, rank):
+        built.append(stop - start)
+        return columns(total, start, stop, n, rank)
+
+    monkeypatch.setattr(laws, "_assignment_columns", counted)
+    for substrate in (G, _indexed_twin(G)):
+        built.clear()
+        v = is_law(w, substrate)
+        if v.holds:
+            assert sum(built) == v.checked
+        else:
+            assert sum(built) <= 2 * v.checked + (1 << 12)
 
 
 def test_is_law_exhaust_cap():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anaburnside.engine import (
     PermGroup,
@@ -37,6 +39,34 @@ def test_permutation_basics():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+
+
+@st.composite
+def _perm_pairs(draw):
+    degree = draw(st.integers(1, 12))
+    perm = st.permutations(range(degree))
+    return Permutation(draw(perm)), Permutation(draw(perm))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_perm_pairs())
+def test_unchecked_products_match_validated_ones(pair):
+    a, b = pair
+    product = Permutation([b.images[p] for p in a.images])
+    inverse = Permutation(sorted(range(a.degree), key=a.images.__getitem__))
+    for got, want in ((a * b, product), (a.inverse(), inverse),
+                      (Permutation.identity(a.degree), Permutation(range(a.degree)))):
+        assert type(got.images) is tuple
+        assert got.images == want.images
+        assert got == want and hash(got) == hash(want)
+
+
+def test_product_of_different_degrees_raises():
+    a, b = Permutation([1, 0, 2]), Permutation([1, 0])
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        b * a
 
 
 def test_composition_is_left_to_right():
