@@ -3,7 +3,7 @@
 The exponent of the word's abelianization drives the case split: odd
 exponents force solvability through Feit-Thompson, two-prime exponents
 through Burnside, and the remaining exponents are probed for a concrete
-simple witness group satisfying the power law. Disjoint commutators are
+simple witness group satisfying the word. Disjoint commutators are
 handled through the subdirect-product embedding of the two factors.
 """
 
@@ -30,7 +30,7 @@ _POOL = tuple([("alternating", m, "Alt(%d)" % m) for m in range(5, 10)]
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    """A simple group verified to satisfy the power law."""
+    """A simple group verified to satisfy the law."""
 
     descriptor: str
     name: str
@@ -106,29 +106,38 @@ def _pool_exponent(kind: str, arg: int) -> int:
     return math.lcm(factorize(arg)[0][0], (arg - 1) // k, (arg + 1) // k)
 
 
-def _search_witnesses(n: int, config: Config):
-    """Pool groups whose exponent divides n, each certified by an
-    exhaustive power-law check; candidates too big to certify are noted."""
+def _search_witnesses(w: Word, n: int, config: Config):
+    """Pool groups satisfying w, each certified by an exhaustive check.
+
+    Only groups whose exponent divides n are candidates. When every syllable
+    exponent of w is a multiple of n, x^n implies w and the check runs on
+    x^n, where a failure is a fault in `_pool_exponent`; otherwise it runs
+    on w. Candidates too big to check are noted."""
     witnesses = []
     notes = []
-    law = Word.make(((1, n),), rank=1)
+    power = all(e % n == 0 for _, e in w.syllables)
+    law = Word.make(((1, n),), rank=1) if power else Word.make(w.syllables)
     for kind, arg, name in _POOL:
         exp = _pool_exponent(kind, arg)
         if n % exp:
             continue
         build = alternating if kind == "alternating" else psl2_group
         G = build(arg, config.degree_cap)
-        if G.order() > config.cayley_cap:
-            notes.append("%s satisfies the law but exceeds the exhaustive "
-                         "verification cap; excluded" % name)
+        if G.order() > config.cayley_cap or G.order() ** law.rank > config.exhaust_cap:
+            notes.append("%s %s but exceeds the exhaustive verification cap; excluded" % (
+                name, "satisfies the law" if power else "has exponent dividing %d" % n))
             continue
         verdict = is_law(law, G, exhaust_cap=config.exhaust_cap,
                          cayley_cap=config.cayley_cap)
-        if not verdict.holds:
+        if verdict.holds:
+            witnesses.append(WitnessRecord("%s(%d)" % (kind, arg), name, exp, verdict.checked))
+        elif power:
             raise RuntimeError("exponent of %s divides %d but the law check failed"
                                % (name, n))
-        witnesses.append(WitnessRecord("%s(%d)" % (kind, arg), name, exp,
-                                       verdict.checked))
+    if witnesses:
+        notes.append("each witness satisfies the law %s on every %s, so it is a "
+                     "quotient of the variety and certifies nontriviality for d >= 2"
+                     % (to_string(law), "element" if power else "assignment"))
     return tuple(witnesses), notes
 
 
@@ -139,7 +148,7 @@ def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
     exponent: finite quotients have odd order, hence are solvable by
     Feit-Thompson, so the anabelian quotient variety is trivial. Exponent
     2^a * p^b: solvable by Burnside's two-prime theorem, same conclusion.
-    Otherwise a simple witness group satisfying x^n certifies a nontrivial
+    Otherwise a simple witness group satisfying w certifies a nontrivial
     quotient, or the verdict stays unknown.
     """
     if w.is_empty():
@@ -178,12 +187,9 @@ def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
         return AnalysisReport(w, d, bound.params.length, "periodic",
                               VERDICT_BURNSIDE, exponent=n, burnside=(a, p, b),
                               bound=bound, notes=tuple(notes))
-    witnesses, wnotes = _search_witnesses(n, config)
+    witnesses, wnotes = _search_witnesses(w, n, config)
     notes.extend(wnotes)
     if witnesses:
-        notes.append("each witness satisfies the law x^%d on every element, "
-                     "so it is a quotient of the variety and certifies "
-                     "nontriviality for d >= 2" % n)
         return AnalysisReport(w, d, bound.params.length, "periodic",
                               VERDICT_WITNESS, exponent=n, witnesses=witnesses,
                               bound=bound, notes=tuple(notes))

@@ -415,11 +415,11 @@ class PairGroup(IndexedGroup):
     """
 
     def __init__(self, left, right, action=None):
-        if left.n * right.n > Config.cayley_cap:
-            raise CapExceeded("product order %d exceeds cap" % (left.n * right.n))
+        self.n = left.n * right.n
+        if self.n > Config.cayley_cap:
+            raise CapExceeded("product order %d exceeds cap %d" % (self.n, Config.cayley_cap))
         self.left, self.right = left, right
         self.action = action
-        self.n = left.n * right.n
         self.identity_index = right.identity_index * left.n + left.identity_index
         gens = [right.identity_index * left.n + g for g in left.generator_indices]
         gens += [h * left.n + left.identity_index for h in right.generator_indices]

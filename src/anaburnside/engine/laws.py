@@ -152,7 +152,7 @@ def _is_law_sampled(word, G, samples, seed):
     return LawVerdict(True, None, "sampled", samples, seed=seed)
 
 
-def group_exponent(G, cap=1_000_000):
+def group_exponent(G, cap=Config.cayley_cap):
     """Least common multiple of all element orders, by full enumeration."""
     n = G.order()
     if n > cap:

@@ -112,14 +112,16 @@ class _ChainLevel:
 
     `gens` is the full strong-generator list fixing every earlier base point,
     so the orbit of `point` under it is the orbit in the stabilizer subgroup.
+    `sifted` holds the Schreier generators already sifted below.
     """
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "sifted")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
         self.transversal = {point: Permutation.identity(degree)}
+        self.sifted = set()
 
     def rebuild_orbit(self, degree):
         self.transversal = {self.point: Permutation.identity(degree)}
@@ -180,7 +182,7 @@ class PermGroup:
     def _chain(self):
         if self._levels is None:
             self._build_chain()
-        return self._levels
+        return self._levels or [_ChainLevel(0, self.degree)]
 
     def _first_moved(self, g):
         for p in self._base_hint:
@@ -197,8 +199,6 @@ class PermGroup:
         self._levels = [_ChainLevel(p, self.degree) for p in self._base_hint]
         for g in self.generators:
             self._insert(g)
-        if not self._levels:
-            self._levels = [_ChainLevel(0, self.degree)]
 
     def _strip(self, level, g):
         """Sift from `level` down; returns (residue, level where it failed)."""
@@ -227,21 +227,18 @@ class PermGroup:
         return True
 
     def _complete_level(self, level):
-        """Re-establish the Schreier condition at one level."""
+        """Re-establish the Schreier condition at one level, sifting each
+        Schreier generator below once. An insertion below leaves this
+        level's gens and orbit as they were, so the scan goes on past it;
+        the group below only grows, so what sifted once would sift again."""
         lv = self._levels[level]
-        restart = True
-        while restart:
-            restart = False
-            lv.rebuild_orbit(self.degree)
-            for pt in list(lv.transversal):
-                u = lv.transversal[pt]
-                for s in lv.gens:
-                    schreier = u * s * lv.transversal[s(pt)].inverse()
-                    if self._insert(schreier, start=level + 1):
-                        restart = True
-                        break
-                if restart:
-                    break
+        lv.rebuild_orbit(self.degree)
+        for pt, u in lv.transversal.items():
+            for s in lv.gens:
+                schreier = u * s * lv.transversal[s(pt)].inverse()
+                if schreier not in lv.sifted:
+                    lv.sifted.add(schreier)
+                    self._insert(schreier, start=level + 1)
 
     def _sift(self, g):
         self._chain()
@@ -276,7 +273,7 @@ class PermGroup:
 
     # -- element access --
 
-    def element_rows(self, cap=1_000_000):
+    def element_rows(self, cap=Config.cayley_cap):
         """Every element's image row, in lexicographic order (identity first).
 
         Each element is u_last * ... * u_1 * u_0, one coset representative
@@ -301,7 +298,7 @@ class PermGroup:
             raise RuntimeError("enumeration found %d elements, chain says %d" % (found, n))
         return rows
 
-    def elements(self, cap=1_000_000):
+    def elements(self, cap=Config.cayley_cap):
         return [Permutation(row) for row in self.element_rows(cap).tolist()]
 
     def random_element(self, rng=None):
@@ -421,28 +418,25 @@ class PermGroup:
     # -- normal structure on generators --
 
     def normal_closure(self, seed_perms):
-        """Smallest subgroup containing the seeds and normal in this group;
-        each conjugate not yet inside joins the one closure's chain."""
-        closure = PermGroup(self.degree, [g for g in seed_perms if not g.is_identity()],
-                            degree_cap=self.degree)
-        pending = list(closure.generators)
+        """Smallest subgroup containing the seeds and normal in this group.
+        Each seed or conjugate is sifted once. Only one that grew the chain,
+        and so at least doubled the order, joins the generators and has its
+        conjugates queued: at most log2 of the order are kept."""
+        closure = PermGroup(self.degree, [], degree_cap=self.degree)
+        closure._build_chain()
+        conjugators = [(g.inverse(), g) for g in self.generators]
+        pending = list(seed_perms)
         while pending:
             h = pending.pop()
-            for g in self.generators:
-                c = g.inverse() * h * g
-                if not closure.contains(c):
-                    closure.generators.append(c)
-                    closure._insert(c)
-                    pending.append(c)
+            if closure._insert(h):
+                closure.generators.append(h)
+                pending.extend(gi * h * g for gi, g in conjugators)
         return closure
 
     def derived_subgroup(self):
-        comms = []
         gens = self.generators
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                comms.append(a.inverse() * b.inverse() * a * b)
-        return self.normal_closure(comms)
+        return self.normal_closure([a.inverse() * b.inverse() * a * b
+                                    for i, a in enumerate(gens) for b in gens[i + 1:]])
 
     def derived_series(self, max_steps=64):
         series = [self]

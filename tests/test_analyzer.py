@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anaburnside.analyzer import (
     _POOL,
@@ -19,7 +21,7 @@ from anaburnside.analyzer import (
 )
 from anaburnside.catalog import factorize
 from anaburnside.config import Config
-from anaburnside.engine import alternating, group_exponent, psl2_group
+from anaburnside.engine import alternating, group_exponent, is_law, make_group, psl2_group
 from anaburnside.words import parse_word
 
 
@@ -65,7 +67,8 @@ def test_witness_verdicts():
 def test_pool_exponents_match_enumeration():
     for kind, arg, name in _POOL:
         G = alternating(arg) if kind == "alternating" else psl2_group(arg)
-        assert _pool_exponent(kind, arg) == group_exponent(G), name
+        # Alt(9) is past the default cayley_cap, so the cap is explicit
+        assert _pool_exponent(kind, arg) == group_exponent(G, cap=G.order()), name
 
 
 def _partitions(m, largest=None):
@@ -232,3 +235,45 @@ def test_config_threads_through():
     cfg = Config(c=4.0)
     r = classify(parse_word("x^30"), d=2, config=cfg)
     assert r.bound.to_dict()["config"]["c"] == 4.0
+
+
+def test_witnesses_of_a_word_outside_the_power_law_are_checked_on_the_word():
+    # y = x turns x^30[x,y] into x^30, which then forces [x,y] = 1: every
+    # Alt(5) assignment with [x,y] != 1 refutes it
+    r = analyze(parse_word("x^30[x,y]"), d=2)
+    assert r.verdict == VERDICT_UNKNOWN and not r.witnesses
+    for name in ("alternating(5)", "psl2(4)", "psl2(5)"):
+        assert not is_law(parse_word("x^30[x,y]"), make_group(name)).holds
+    # x^60 y^-1 x^60 y has exponent 120 but is implied by x^60 alone
+    r = analyze(parse_word("x^60 y^-1 x^60 y"), d=2)
+    assert [w.name for w in r.witnesses] == ["Alt(5)", "Alt(6)", "PSL(2,4)", "PSL(2,5)",
+                                             "PSL(2,9)"]
+    assert r.witnesses[0].assignments_checked == 60 ** 2
+    assert "law x^60 y^-1 x^60 y on every assignment" in r.notes[-1]
+
+
+def test_a_pool_group_failing_its_power_law_is_a_fault(monkeypatch):
+    # x^30 implies itself, so a candidate failing it means a wrong closed
+    # form: here Alt(6), whose exponent is 60, claimed to be 30
+    monkeypatch.setattr("anaburnside.analyzer._pool_exponent", lambda kind, arg: 30)
+    with pytest.raises(RuntimeError, match="Alt\\(6\\)"):
+        classify(parse_word("x^30"), d=2)
+
+
+@st.composite
+def _power_times_commutators(draw):
+    """A power of exponent 30 or 60 with up to two commutators of powers
+    around it: the exponent makes Alt(5) or Alt(6) a candidate, and the
+    commutators decide whether it satisfies the word."""
+    parts = draw(st.lists(st.builds("[x^{},y^{}]".format, st.sampled_from((1, 2, 30, 60)),
+                                    st.sampled_from((1, -1, 30, 60))), max_size=2))
+    power = draw(st.sampled_from(("x^30", "x^-60", "y^30", "x^30 y^30", "y^60 x^-60")))
+    parts.insert(draw(st.integers(0, len(parts))), power)
+    return parse_word(" ".join(parts))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_power_times_commutators())
+def test_every_reported_witness_satisfies_the_word(w):
+    for witness in analyze(w, d=2).witnesses:
+        assert is_law(w, make_group(witness.descriptor)).holds, witness.name

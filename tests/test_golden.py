@@ -1,8 +1,8 @@
 """CLI `--json` output pinned byte for byte against committed golden files.
 
-The commands are the README examples, the benchmark's CLI command set,
-`analyze "[x^30, y^4]"` and two runs under a config file. To rewrite the
-goldens after an intended output change, run
+The commands are the README examples, the benchmark's CLI command set and
+the further cases commented below, two of them run under a config file. To
+rewrite the goldens after an intended output change, run
 `PYTHONPATH=src python tests/test_golden.py --regenerate` from the
 repository root and check the result with `git diff`.
 """
@@ -65,6 +65,16 @@ COMMANDS = {
     # long laws, where the recursion settles and the Lie grids run long
     "bound_length_1200": ["bound", "--length", "1200"],
     "bound_length_5000_d3": ["bound", "--length", "5000", "--d", "3"],
+    # seeded spot checks: their witnesses are random_element draws, so they
+    # pin the base points and transversals of the stabilizer chain
+    "lawcheck_sampled_alt6": ["lawcheck", "[x,y]", "--group", "alt6", "--mode", "sampled"],
+    "lawcheck_sampled_wreath_a5_c2": ["lawcheck", "[x,y]", "--group",
+                                      "wreath(alternating(5),cyclic(2))", "--mode", "sampled"],
+    # a word that x^30 does not imply: each pool group is checked on the word
+    "analyze_x30_commutator": ["analyze", "x^30[x,y]"],
+    # past the index cap: the derived series runs on generators only
+    "lambda_wreath_s4_s4_series": ["lambda", "--group", "wreath(symmetric(4),symmetric(4))",
+                                   "--series", "trivial,full"],
 }
 
 # the config object each of these entries writes to a file and passes with --config

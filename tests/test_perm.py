@@ -14,6 +14,7 @@ from anaburnside.engine import (
     cyclic,
     dihedral,
     direct_product,
+    make_group,
     psl2_group,
     symmetric,
     wreath,
@@ -21,6 +22,7 @@ from anaburnside.engine import (
 from anaburnside.errors import CapExceeded
 
 import scalar_oracle as oracle
+from chain_oracle import CHAIN_GROUPS
 
 
 def test_permutation_basics():
@@ -168,21 +170,32 @@ def _commutators(group):
     return [a.inverse() * b.inverse() * a * b for i, a in enumerate(gens) for b in gens[i + 1:]]
 
 
-@pytest.mark.parametrize("name", ["s4_double", "s4_three_cycle", "a5_wr_c2", "a5_wr_a5"])
+_NAMED_CLOSURES = ["s4_double", "s4_three_cycle", "a5_wr_c2", "a5_wr_a5"]
+
+
+@pytest.mark.parametrize("name", _NAMED_CLOSURES + CHAIN_GROUPS)
 def test_normal_closure_matches_rebuilt_closure(name):
-    s4 = symmetric(4)
-    group, seeds = {
-        "s4_double": (s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)])]),
-        "s4_three_cycle": (s4, [Permutation.from_cycles(4, [(0, 1, 2)])]),
-        "a5_wr_c2": (wreath(alternating(5), cyclic(2)), None),
-        "a5_wr_a5": (wreath(alternating(5), alternating(5)), None),
-    }[name]
-    seeds = seeds or _commutators(group)
-    got = group.normal_closure(seeds)
-    want = oracle.perm_normal_closure(group, seeds)
-    assert got.generators == want.generators
-    assert got.order() == want.order()
-    assert all(got.contains(g) for g in want.generators)
+    """The named cases close fixed seeds (the generators' commutators by
+    default); a chain group closes 0, 1 and 2 random elements. Each closure
+    is the oracle's group, with at most log2 of its order as generators."""
+    if name in _NAMED_CLOSURES:
+        s4 = symmetric(4)
+        group, seeds = {
+            "s4_double": (s4, [Permutation.from_cycles(4, [(0, 1), (2, 3)])]),
+            "s4_three_cycle": (s4, [Permutation.from_cycles(4, [(0, 1, 2)])]),
+            "a5_wr_c2": (wreath(alternating(5), cyclic(2)), None),
+            "a5_wr_a5": (wreath(alternating(5), alternating(5)), None),
+        }[name]
+        seed_sets = [seeds or _commutators(group)]
+    else:
+        group, rng = make_group(name), random.Random(name)
+        seed_sets = [[group.random_element(rng) for _ in range(k)] for k in range(3)]
+    for seeds in seed_sets:
+        got = group.normal_closure(seeds)
+        want = oracle.perm_normal_closure(group, seeds)
+        assert got.order() == want.order()
+        assert got.is_subgroup_of(want) and want.is_subgroup_of(got)
+        assert 2 ** len(got.generators) <= got.order()
 
 
 def test_normal_closure_builds_one_group(monkeypatch):
