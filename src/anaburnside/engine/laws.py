@@ -85,7 +85,7 @@ def _spans(total):
         start, size = stop, min(2 * size, _CHUNK)
 
 
-def _assignment_columns(total, start, stop, n, rank):
+def _assignment_columns(start, stop, n, rank):
     idx = np.arange(start, stop, dtype=np.int64)
     cols = []
     for v in range(rank):
@@ -105,7 +105,7 @@ def _is_law_perm(word, Gi):
     total = n ** rank
     identity = np.arange(deg, dtype=rows.dtype)
     for start, stop in _spans(total):
-        cols = _assignment_columns(total, start, stop, n, rank)
+        cols = _assignment_columns(start, stop, n, rank)
         m = stop - start
         state = np.broadcast_to(identity, (m, deg)).copy()
         for v, e in word.syllables:
@@ -128,7 +128,7 @@ def _is_law_indexed(word, Gi):
             powers[(v, e)] = Gi.powers(e)
     total = n ** rank
     for start, stop in _spans(total):
-        cols = _assignment_columns(total, start, stop, n, rank)
+        cols = _assignment_columns(start, stop, n, rank)
         state = np.full(stop - start, Gi.identity_index, dtype=np.intp)
         for v, e in word.syllables:
             state = Gi.products(state, powers[(v, e)][cols[v - 1]])

@@ -438,15 +438,15 @@ class PermGroup:
         return self.normal_closure([a.inverse() * b.inverse() * a * b
                                     for i, a in enumerate(gens) for b in gens[i + 1:]])
 
-    def derived_series(self, max_steps=64):
+    def derived_series(self):
+        """Derived series down to its perfect core. Each step either stops
+        or strictly lowers the order, so the loop ends."""
         series = [self]
-        while len(series) <= max_steps:
+        while series[-1].order() > 1:
             nxt = series[-1].derived_subgroup()
             if nxt.order() == series[-1].order():
                 break
             series.append(nxt)
-            if nxt.order() == 1:
-                break
         return series
 
     def is_subgroup_of(self, other):

@@ -8,7 +8,7 @@ import numpy as np
 from ..catalog import AltId, admissible_q_values, exact_order, factorize, psl2
 from ..config import Config
 from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
-from .perm import PermGroup, Permutation
+from .perm import PermGroup
 
 
 # ---------------------------------------------------------------------------
@@ -40,40 +40,35 @@ def subgroup_closure(G, gens, cap=None):
     return set(np.flatnonzero(closure.mask).tolist())
 
 
-def normal_closure_indexed(G, seeds, cap=None, reject_supersets=(), conjugators=None):
-    """Closure of the seeds under multiplication and conjugation by
-    `conjugators` (default: the group's generators), with its generator list.
+def normal_closure_indexed(G, seeds, cap=None, reject_supersets=()):
+    """Smallest subgroup containing the seeds and normal in G, with its
+    generators.
 
     Returns (element mask, generators) or None when the closure passes `cap`
     or is seen to strictly contain a mask from `reject_supersets` (used to
-    discard provably non-minimal candidates early). Each round appends, in
-    order, the conjugates g^-1 h g (h-major) that lie outside the closure;
-    only the generators appended in the round before are conjugated, since
-    the conjugates of older ones already lie inside.
+    discard provably non-minimal candidates early). Seeds and conjugates go
+    into one `Closure`, whose generators are the elements that grew it, so
+    at most log2 of its order. Each round conjugates, by the group's
+    generators, only the generators added in the round before, since the
+    conjugates of older ones already lie inside.
     """
-    if conjugators is None:
-        conjugators = G.generator_indices
-    e = G.identity_index
-    gens = []
-    for s in seeds:
-        if s != e and s not in gens:
-            gens.append(s)
     closure = Closure(G, cap)
-    fresh = gens
+    fresh = seeds
     while True:
+        kept = len(closure.gens)
         for g in fresh:
             if not closure.add(g):
                 return None
+        grown = closure.gens[kept:]
+        if not grown:
+            return closure.mask, tuple(closure.gens)
         S = closure.mask
         for other in reject_supersets:
             if closure.size > _size(other) and not (other & ~S).any():
                 return None
-        if not fresh or not len(conjugators):
-            return S, tuple(gens)
-        h = np.array(fresh, dtype=np.intp)
-        conj = np.stack([G.conjugates(h, g) for g in conjugators], axis=1).ravel()
+        h = np.array(grown, dtype=np.intp)
+        conj = np.concatenate([G.conjugates(h, g) for g in G.generator_indices])
         fresh = conj[~S[conj]].tolist()
-        gens.extend(fresh)
 
 
 def _class_least(G):
@@ -162,14 +157,15 @@ def minimal_normal_subgroups(G):
 
 def is_solvable(G):
     """True when the derived series reaches the identity. Each term is the
-    normal closure, under the previous term's generators, of their
-    commutators."""
+    normal closure in G of the commutators of the previous term's
+    generators: that term is characteristic, so normal in G, and the
+    closure is its derived subgroup."""
     Gi = as_indexed(G)
     size, gens = Gi.n, Gi.generator_indices
     while size > 1:
         comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
                  for i, a in enumerate(gens) for b in gens[i + 1:]]
-        S, gens = normal_closure_indexed(Gi, comms, conjugators=gens)
+        S, gens = normal_closure_indexed(Gi, comms)
         if _size(S) == size:
             return False
         size = _size(S)
@@ -420,12 +416,6 @@ def nonsolvable_length(G):
 # ---------------------------------------------------------------------------
 # series verification for large permutation groups
 
-def _orbit_restriction(group, orbit):
-    pos = {p: i for i, p in enumerate(orbit)}
-    gens = [Permutation([pos[g(p)] for p in orbit]) for g in group.generators]
-    return PermGroup(len(orbit), gens, degree_cap=len(orbit))
-
-
 def _certify_semisimple(group, cayley_cap):
     """(ok, certificate) for a permutation group being semisimple.
 
@@ -435,7 +425,8 @@ def _certify_semisimple(group, cayley_cap):
     itself is checked. Each check is `is_semisimple` on a group indexed
     under `cayley_cap`.
     """
-    restrictions = [_orbit_restriction(group, o) for o in group.orbits() if len(o) > 1]
+    restrictions = [group.block_action([[p] for p in o])[0]
+                    for o in group.orbits() if len(o) > 1]
     if len(restrictions) < 2 or math.prod(r.order() for r in restrictions) != group.order():
         restrictions = [group]
     for r in restrictions:

@@ -22,7 +22,6 @@ from anaburnside.engine.structure import (
     _gens_commute,
     _mask,
     _minimal_normals_with_gens,
-    _orbit_restriction,
     _size,
     normal_closure_indexed,
     simple_name,
@@ -37,7 +36,7 @@ def _derived_masks(Gi):
         ambient = series[-1][1]
         comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
                  for i, a in enumerate(ambient) for b in ambient[i + 1:]]
-        S, gens = normal_closure_indexed(Gi, comms, conjugators=ambient)
+        S, gens = normal_closure_indexed(Gi, comms)
         if _size(S) == _size(series[-1][0]):
             break
         series.append((S, gens))
@@ -172,7 +171,7 @@ def certify_semisimple(group):
             return True, "element-level check: product of nonabelian simple minimal normals"
         return False, "element-level check failed"
     orbits = group.orbits()
-    restrictions = [_orbit_restriction(group, o) for o in orbits]
+    restrictions = [group.block_action([[p] for p in o])[0] for o in orbits]
     product = 1
     for r in restrictions:
         product *= r.order()

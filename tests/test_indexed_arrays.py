@@ -185,8 +185,7 @@ def test_subgroup_closure_cap_counts_only_added_elements():
 def _as_set(result):
     if result is None:
         return None
-    mask, gens = result
-    return set(np.flatnonzero(mask).tolist()), gens
+    return set(np.flatnonzero(result[0]).tolist())
 
 
 @FAST
@@ -195,24 +194,24 @@ def test_normal_closure_matches_scalar(name, data):
     G = substrate(name)
     seeds = data.draw(elements(G))
     cap = data.draw(st.none() | st.integers(1, G.n))
-    conjugators = data.draw(st.none() | elements(G, 2))
     reject = data.draw(elements(G, 1))
     rejected = [oracle.normal_closure(G, reject)[0]] if reject else []
     masks = [structure._mask(G, S) for S in rejected]
-    got = structure.normal_closure_indexed(G, seeds, cap=cap, reject_supersets=masks,
-                                           conjugators=conjugators)
-    assert _as_set(got) == oracle.normal_closure(G, seeds, cap=cap, reject_supersets=rejected,
-                                                 conjugators=conjugators)
+    got = structure.normal_closure_indexed(G, seeds, cap=cap, reject_supersets=masks)
+    want = oracle.normal_closure(G, seeds, cap=cap, reject_supersets=rejected)
+    assert _as_set(got) == (None if want is None else want[0])
+    if got is not None:
+        assert structure.subgroup_closure(G, got[1]) == _as_set(got)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_normal_closure_generator_order_matches_scalar(name):
-    # rounds that append several conjugates pin their h-major order
+def test_normal_closure_keeps_only_generators_that_grew_it(name):
     G = substrate(name)
     for x in range(min(G.n, 30)):
-        seeds = [x, (7 * x + 3) % G.n]
-        assert _as_set(structure.normal_closure_indexed(G, seeds)) == \
-            oracle.normal_closure(G, seeds)
+        mask, gens = structure.normal_closure_indexed(G, [x, (7 * x + 3) % G.n])
+        for i, g in enumerate(gens):
+            assert g not in structure.subgroup_closure(G, gens[:i])
+        assert 2 ** len(gens) <= structure._size(mask)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))

@@ -186,9 +186,9 @@ def test_refuted_law_builds_rows_near_its_failure(desc, text, fails_at, monkeypa
     built = []
     columns = laws._assignment_columns
 
-    def counted(total, start, stop, n, rank):
+    def counted(start, stop, n, rank):
         built.append(stop - start)
-        return columns(total, start, stop, n, rank)
+        return columns(start, stop, n, rank)
 
     monkeypatch.setattr(laws, "_assignment_columns", counted)
     for substrate in (G, _indexed_twin(G)):

@@ -5,7 +5,9 @@ with Sym(5), where a closure met early can be larger than the minimal
 normal subgroup it contains. The
 radical, socle, nonsolvable length and composition series are checked
 against the recursions the loops replaced (`structure_oracle`), and the
-semisimplicity rule against the per-part test.
+semisimplicity rule against the per-part test. Each derived term that
+`is_solvable` takes as a normal closure in the whole group is checked
+against the closure under the previous term's own generators.
 """
 
 import random
@@ -127,6 +129,38 @@ def test_loops_match_recursions_on_substrates(name):
 @pytest.mark.parametrize("desc", WORKLOAD_GROUPS + tuple(sorted(S5_FAMILY)))
 def test_loops_match_recursions_on_workload_groups(desc):
     _check_against_recursions(as_indexed(make_group(desc)))
+
+
+def _check_derived_series(G, monkeypatch):
+    # is_solvable takes each term as a normal closure in G; it must equal
+    # the closure under the previous term's own generators
+    terms = []
+    closure = structure.normal_closure_indexed
+
+    def recorded(G, seeds):
+        terms.append(closure(G, seeds))
+        return terms[-1]
+
+    monkeypatch.setattr(structure, "normal_closure_indexed", recorded)
+    structure.is_solvable(G)
+    assert terms
+    gens = G.generator_indices
+    for mask, next_gens in terms:
+        comms = [G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
+                 for i, a in enumerate(gens) for b in gens[i + 1:]]
+        want, _ = scalar_oracle.normal_closure(G, comms, conjugators=gens)
+        assert structure._frozen(mask) == want
+        gens = next_gens
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_derived_series_matches_closure_in_each_term_on_substrates(name, monkeypatch):
+    _check_derived_series(substrate(name), monkeypatch)
+
+
+@pytest.mark.parametrize("desc", WORKLOAD_GROUPS)
+def test_derived_series_matches_closure_in_each_term_on_workload_groups(desc, monkeypatch):
+    _check_derived_series(as_indexed(make_group(desc)), monkeypatch)
 
 
 def test_semisimple_rule_matches_per_part_test():
