@@ -11,7 +11,7 @@ from ..config import Config
 from ..errors import CapExceeded
 from ..words import Word, evaluate
 from .indexed import PermIndexedGroup, as_indexed
-from .perm import PermGroup
+from .perm import PermGroup, invert_rows
 from .structure import conjugacy_classes, is_simple, subgroup_closure
 
 _FIRST_SPAN = 1 << 12
@@ -37,7 +37,7 @@ def _power_rows(rows, e):
     """Rows of each permutation raised to the e-th power."""
     n, deg = rows.shape
     if e < 0:
-        rows = np.argsort(rows, axis=1).astype(rows.dtype)
+        rows = invert_rows(rows)
         e = -e
     result = np.broadcast_to(np.arange(deg, dtype=rows.dtype), (n, deg)).copy()
     base = rows.copy()

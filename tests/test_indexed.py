@@ -2,7 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anaburnside.engine import (
     CyclicGroup,
@@ -17,13 +20,19 @@ from anaburnside.engine import (
     as_indexed,
     cyclic,
     densify,
+    dihedral,
+    direct_product,
     make_group,
     symmetric,
+    wreath,
 )
+from anaburnside.engine.perm import invert_rows, key_weights
 from anaburnside.engine.structure import subgroup_closure
 from anaburnside.errors import CapExceeded
 
 from groupfiles import sl25_group
+from test_indexed_arrays import BUILDERS
+from test_structure_loops import WORKLOAD_GROUPS
 
 
 def test_table_group_accepts_klein_four():
@@ -240,3 +249,122 @@ def test_cyclic_above_the_degree_cap_allocates_no_table():
     assert peak < 5_000_000
     with pytest.raises(CapExceeded, match="order 100001 exceeds cap 100000"):
         make_group("cyclic(100001)")
+
+
+# -- packed row keys against the byte-key lookup they replaced --
+
+def _byte_keys(rows):
+    """The rows' bytes as one void key each: lexicographic row order for
+    non-negative, big-endian images."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view((np.void, rows.shape[-1] * rows.itemsize))[..., 0]
+
+
+def _byte_lookup(G, rows):
+    """Indexes of the full image rows `rows` by a `searchsorted` on bytes."""
+    return _byte_keys(G.rows).searchsorted(_byte_keys(rows))
+
+
+def _tells_apart(rows, width):
+    return (rows[1:, :width] != rows[:-1, :width]).any(axis=1).all()
+
+
+def _check_lookups_match_byte_keys(G, group, rng, pairs=200):
+    rows = G.rows
+    assert _tells_apart(rows, G.width)
+    assert G.width == 1 or not _tells_apart(rows, G.width - 1)
+    xs, ys = rng.integers(0, G.n, pairs), rng.integers(0, G.n, pairs)
+    full = np.take_along_axis(rows[ys], rows[xs], axis=1)
+    expected = _byte_lookup(G, full)
+    assert (rows[expected] == full).all()
+    assert G.products(xs, ys).tolist() == expected.tolist()
+    assert [G.mul(int(x), int(y)) for x, y in zip(xs[:20], ys[:20])] == expected[:20].tolist()
+    assert G.products(xs, int(ys[0])).tolist() == _byte_lookup(G, rows[ys[0]][rows[xs]]).tolist()
+    assert G.index_of_rows(full).tolist() == expected.tolist()
+    inverse_rows = np.argsort(rows, axis=1).astype(rows.dtype)
+    assert np.array_equal(invert_rows(rows), inverse_rows)
+    assert G.inverses().tolist() == _byte_lookup(G, inverse_rows).tolist()
+    gens = np.array([g.images for g in group.generators], dtype=rows.dtype).reshape(-1, G.degree)
+    assert list(G.generator_indices) == _byte_lookup(G, gens).tolist()
+
+
+PERM_BUILDERS = {
+    "perm_s4": lambda: symmetric(4),
+    "perm_d6": lambda: dihedral(6),
+    "perm_a5": lambda: alternating(5),
+    "perm_s3wr2": lambda: wreath(symmetric(3), symmetric(2)),
+    # images past 127 are big-endian int16
+    "dihedral130": lambda: dihedral(130, degree_cap=130),
+}
+# C2 wr C10 needs 19 images of 5 bits, past 64: the byte-key fallback
+FALLBACK = "wreath(cyclic(2),cyclic(10))"
+PACKED_GROUPS = sorted(PERM_BUILDERS) + list(WORKLOAD_GROUPS) + [FALLBACK]
+
+
+def _perm_group(name):
+    return PERM_BUILDERS[name]() if name in PERM_BUILDERS else make_group(name)
+
+
+def test_perm_builders_cover_the_perm_substrates():
+    assert {n for n in BUILDERS if n.startswith("perm")} <= set(PERM_BUILDERS)
+
+
+@pytest.mark.parametrize("name", PACKED_GROUPS)
+def test_packed_lookups_match_byte_keys(name):
+    group = _perm_group(name)
+    G = as_indexed(group)
+    assert (key_weights(G.width, G.degree) is None) == (name == FALLBACK)
+    _check_lookups_match_byte_keys(G, group, np.random.default_rng(14))
+
+
+@pytest.mark.parametrize("name", PACKED_GROUPS)
+def test_element_rows_are_the_rows_sorted_by_bytes(name):
+    rows = _perm_group(name).element_rows()
+    shuffled = rows[np.random.default_rng(3).permutation(len(rows))]
+    assert np.array_equal(shuffled[np.argsort(_byte_keys(shuffled), kind="stable")], rows)
+
+
+def test_non_element_sharing_a_prefix_is_not_found():
+    G = as_indexed(direct_product([alternating(5), alternating(6)]))
+    assert G.width <= 9
+    row = G.rows[[17]].copy()
+    row[0, [9, 10]] = row[0, [10, 9]]
+    assert (row[0, :G.width] == G.rows[17, :G.width]).all()
+    with pytest.raises(KeyError):
+        G.index_of_rows(row)
+    with pytest.raises(KeyError):
+        G.index_of(Permutation(row[0].tolist()))
+
+
+def _involutions(degree):
+    """Products of disjoint transpositions (2i 2i+1): their groups stay
+    small at any degree, so the prefix can outgrow 64 bits."""
+    def swap(moved):
+        return Permutation([2 * i + 1 - (p & 1) if i in moved else p
+                            for i in range(degree // 2) for p in (2 * i, 2 * i + 1)])
+    return st.sets(st.integers(0, degree // 2 - 1)).map(swap)
+
+
+def _closed_elements(group):
+    """Every element, by closing the identity under right products."""
+    seen = {Permutation.identity(group.degree)}
+    frontier = list(seen)
+    while frontier:
+        frontier = {x * g for x in frontier for g in group.generators} - seen
+        seen |= frontier
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_lookups_match_byte_keys_on_small_generator_sets(data):
+    if data.draw(st.booleans(), label="involutions"):
+        degree = 2 * data.draw(st.integers(1, 24), label="half degree")
+        gens = data.draw(st.lists(_involutions(degree), min_size=1, max_size=4))
+    else:
+        degree = data.draw(st.integers(1, 7), label="degree")
+        gens = data.draw(st.lists(st.permutations(range(degree)).map(Permutation), max_size=3))
+    group = PermGroup(degree, gens)
+    G = as_indexed(group)
+    assert [tuple(r) for r in G.rows.tolist()] == sorted(p.images for p in _closed_elements(group))
+    _check_lookups_match_byte_keys(G, group, np.random.default_rng(degree), pairs=50)
