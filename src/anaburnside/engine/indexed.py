@@ -281,10 +281,9 @@ class CyclicGroup(IndexedGroup):
 
 class PermIndexedGroup(IndexedGroup):
     """The rows of `PermGroup.element_rows`, indexed in their lexicographic
-    order. The first `width` images of a row tell it from every other
-    element, and `row_keys` turns them into one order-preserving key: the
-    images packed into an unsigned integer, or the prefix's bytes when they
-    do not fit in 64 bits. A lookup is one `searchsorted` of those keys."""
+    order. `row_keys` gives each row one order-preserving key: its images
+    packed into a `uint64`, or its bytes when they do not fit in 64 bits. A
+    lookup is one `searchsorted` of those keys."""
 
     def __init__(self, group, cap=Config.cayley_cap):
         n = group.order()
@@ -292,25 +291,24 @@ class PermIndexedGroup(IndexedGroup):
             raise CapExceeded("order %d exceeds cap %d" % (n, cap))
         self.n = n
         self.degree = group.degree
-        self.rows, self.width = group._sorted_rows(cap=n)
-        self._weights = key_weights(self.width, self.degree)
-        self._sorted_keys = row_keys(self.rows[:, :self.width], self._weights)
+        self.rows = group.element_rows(cap=n)
+        self._weights = key_weights(self.degree)
+        self._sorted_keys = row_keys(self.rows, self._weights)
         if not (self._sorted_keys[1:] > self._sorted_keys[:-1]).all():
             raise RuntimeError("row keys do not strictly increase")
         self.identity_index = 0
         self.generator_indices = tuple(self.index_of(g) for g in group.generators)
 
-    def _lookup(self, prefix):
-        """Indexes of group elements given by their first `width` images (or
-        the index of one)."""
-        return self._sorted_keys.searchsorted(row_keys(prefix, self._weights))
+    def _lookup(self, rows):
+        """Indexes of rows known to be group elements (or the index of one)."""
+        return self._sorted_keys.searchsorted(row_keys(rows, self._weights))
 
     def index_of_rows(self, rows):
         """Indexes of the given image rows; KeyError if one is not an element."""
         rows = np.asarray(rows, dtype=self.rows.dtype)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise KeyError("rows of degree %d expected" % self.degree)
-        pos = np.minimum(self._lookup(rows[:, :self.width]), self.n - 1)
+        pos = np.minimum(self._lookup(rows), self.n - 1)
         missing = np.flatnonzero((self.rows[pos] != rows).any(axis=1))
         if missing.size:
             raise KeyError(tuple(int(p) for p in rows[missing[0]]))
@@ -323,15 +321,13 @@ class PermIndexedGroup(IndexedGroup):
         return Permutation(int(p) for p in self.rows[i])
 
     def products(self, xs, ys):
-        # row i*j is row j composed after row i; only its first `width`
-        # images are gathered
-        head = self.rows[xs, :self.width]
+        # row i*j is row j composed after row i
         if getattr(ys, "ndim", 0) == 0:
-            return self._lookup(self.rows[ys][head])
-        return self._lookup(np.take_along_axis(self.rows[ys], head, axis=1))
+            return self._lookup(self.rows[ys][self.rows[xs]])
+        return self._lookup(np.take_along_axis(self.rows[ys], self.rows[xs], axis=1))
 
     def _compute_inverses(self):
-        return self._lookup(invert_rows(self.rows)[:, :self.width])
+        return self._lookup(invert_rows(self.rows))
 
 
 class SubgroupView(IndexedGroup):

@@ -9,43 +9,27 @@ from ..config import Config
 from ..errors import CapExceeded
 
 
-def prefix_width(rows):
-    """Shortest prefix of columns that tells lexicographically sorted rows
-    apart: 1 + the largest column at which two adjacent rows first differ
-    (1 for a single row). None if two adjacent rows are equal."""
-    tied = np.ones(len(rows) - 1, dtype=bool)
-    for c in range(rows.shape[1]):
-        if not tied.any():
-            return max(c, 1)
-        tied &= rows[1:, c] == rows[:-1, c]
-    return None if tied.any() else rows.shape[1]
-
-
-def key_weights(width, degree):
-    """Weights that pack the first `width` images of a row of `degree`
-    points big-endian into one unsigned integer, bit_length(degree - 1)
-    bits apiece, of the smallest dtype that holds them; None when they do
-    not fit in 64 bits."""
+def key_weights(degree):
+    """Weights that pack a row of `degree` images big-endian into one
+    `uint64`, bit_length(degree - 1) bits apiece; None when they do not
+    fit in 64 bits."""
     bits = (degree - 1).bit_length()
-    if width * bits > 64:
+    if degree * bits > 64:
         return None
-    return np.array([1 << bits * c for c in range(width - 1, -1, -1)],
-                    dtype=np.min_scalar_type((1 << width * bits) - 1))
+    return np.array([1 << bits * c for c in range(degree - 1, -1, -1)], dtype=np.uint64)
 
 
-def row_keys(prefix, weights):
-    """One key per row from its first images `prefix` (the last axis; a
-    single row gives one key): the images packed by `key_weights`, or the
-    prefix's bytes as a fixed-width byte string when the weights are None.
-    Images are non-negative and, past degree 127, big endian, so either key
-    orders rows lexicographically."""
+def row_keys(rows, weights=None):
+    """One key per image row (the last axis; a single row gives one key):
+    the images packed by `key_weights`, or the row's bytes as a fixed-width
+    byte string when the weights are None. Images are non-negative and,
+    past degree 127, big endian, so either key orders rows
+    lexicographically."""
     if weights is None:
-        return np.ascontiguousarray(prefix).view("S%d" % (prefix.shape[-1] * prefix.itemsize))[..., 0]
+        return np.ascontiguousarray(rows).view("S%d" % (rows.shape[-1] * rows.itemsize))[..., 0]
     # images are non-negative and every partial sum is below the packed
-    # key, so the casts and the sums in the weights' dtype are exact
-    if prefix.ndim == 1:  # one row: a dot product costs less to set up
-        return prefix.astype(weights.dtype) @ weights
-    return np.einsum("...j,j->...", prefix, weights, dtype=weights.dtype, casting="unsafe")
+    # key, so the casts and the sums in uint64 are exact
+    return np.einsum("...j,j->...", rows, weights, dtype=np.uint64, casting="unsafe")
 
 
 def invert_rows(rows):
@@ -321,14 +305,9 @@ class PermGroup:
         per chain level, the deepest applied first (x*y is y after x: rows
         u[r]), so one gather per level lists every element once, and
         `np.lexsort` over the columns sorts them. Images are int8, or big
-        endian int16 past degree 127, so the bytes of a row prefix sort
-        like the prefix (see `row_keys`).
+        endian int16 past degree 127, so sorting the rows' bytes would give
+        the same order (see `row_keys`).
         """
-        return self._sorted_rows(cap)[0]
-
-    def _sorted_rows(self, cap):
-        """`element_rows` and their `prefix_width`, found by the scan that
-        checks the rows are distinct."""
         n = self.order()
         if n > cap:
             raise CapExceeded("order %d exceeds enumeration cap %d" % (n, cap))
@@ -339,11 +318,11 @@ class PermGroup:
             reps = np.array([u.images for u in level.transversal.values()], dtype=dtype)
             rows = reps[:, rows].reshape(-1, deg)
         rows = rows[np.lexsort(rows.T[::-1])]
-        width = prefix_width(rows)
-        if width is None:
-            found = 1 + np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1))
+        keys = row_keys(rows)
+        found = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+        if found != n:
             raise RuntimeError("enumeration found %d elements, chain says %d" % (found, n))
-        return rows, width
+        return rows
 
     def elements(self, cap=Config.cayley_cap):
         return [Permutation(row) for row in self.element_rows(cap).tolist()]

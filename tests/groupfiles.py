@@ -1,9 +1,27 @@
-"""Shared builders for groups the descriptor language does not cover."""
+"""Shared group lists and builders for groups the descriptor language does
+not cover."""
 
 import itertools
 import json
 
-from anaburnside.engine import TableGroup
+from anaburnside.engine import TableGroup, alternating, dihedral, symmetric, wreath
+
+# the permutation groups among the indexed substrates, as PermGroup factories
+PERM_GROUPS = {
+    "perm_s4": lambda: symmetric(4),
+    "perm_d6": lambda: dihedral(6),
+    "perm_a5": lambda: alternating(5),
+    "perm_s3wr2": lambda: wreath(symmetric(3), symmetric(2)),
+}
+
+# the groups of the benchmark's structure workload
+WORKLOAD_GROUPS = (
+    "psl2(4)", "psl2(5)", "psl2(7)", "psl2(8)", "symmetric(5)",
+    "direct_product(alternating(5),symmetric(4))",
+    "direct_product(alternating(5),alternating(6))",
+    "wreath(alternating(5),cyclic(2))",
+    "wreath(symmetric(4),cyclic(3))",
+)
 
 
 def sl25_table():

@@ -24,15 +24,12 @@ from anaburnside.engine import (
     direct_product,
     make_group,
     symmetric,
-    wreath,
 )
 from anaburnside.engine.perm import invert_rows, key_weights
 from anaburnside.engine.structure import subgroup_closure
 from anaburnside.errors import CapExceeded
 
-from groupfiles import sl25_group
-from test_indexed_arrays import BUILDERS
-from test_structure_loops import WORKLOAD_GROUPS
+from groupfiles import PERM_GROUPS, WORKLOAD_GROUPS, sl25_group
 
 
 def test_table_group_accepts_klein_four():
@@ -265,14 +262,8 @@ def _byte_lookup(G, rows):
     return _byte_keys(G.rows).searchsorted(_byte_keys(rows))
 
 
-def _tells_apart(rows, width):
-    return (rows[1:, :width] != rows[:-1, :width]).any(axis=1).all()
-
-
 def _check_lookups_match_byte_keys(G, group, rng, pairs=200):
     rows = G.rows
-    assert _tells_apart(rows, G.width)
-    assert G.width == 1 or not _tells_apart(rows, G.width - 1)
     xs, ys = rng.integers(0, G.n, pairs), rng.integers(0, G.n, pairs)
     full = np.take_along_axis(rows[ys], rows[xs], axis=1)
     expected = _byte_lookup(G, full)
@@ -288,32 +279,26 @@ def _check_lookups_match_byte_keys(G, group, rng, pairs=200):
     assert list(G.generator_indices) == _byte_lookup(G, gens).tolist()
 
 
-PERM_BUILDERS = {
-    "perm_s4": lambda: symmetric(4),
-    "perm_d6": lambda: dihedral(6),
-    "perm_a5": lambda: alternating(5),
-    "perm_s3wr2": lambda: wreath(symmetric(3), symmetric(2)),
-    # images past 127 are big-endian int16
-    "dihedral130": lambda: dihedral(130, degree_cap=130),
-}
-# C2 wr C10 needs 19 images of 5 bits, past 64: the byte-key fallback
-FALLBACK = "wreath(cyclic(2),cyclic(10))"
-PACKED_GROUPS = sorted(PERM_BUILDERS) + list(WORKLOAD_GROUPS) + [FALLBACK]
+# images past 127 are big-endian int16
+DIHEDRAL_130 = "dihedral(130)"
+# 20 images of 5 bits and 130 of 8 bits pass 64: the byte-key fallback
+FALLBACK = ("wreath(cyclic(2),cyclic(10))", DIHEDRAL_130)
+# 16 images of 4 bits fill all 64 bits
+PACKED_GROUPS = (sorted(PERM_GROUPS) + list(WORKLOAD_GROUPS)
+                 + ["wreath(cyclic(2),cyclic(8))"] + list(FALLBACK))
 
 
 def _perm_group(name):
-    return PERM_BUILDERS[name]() if name in PERM_BUILDERS else make_group(name)
-
-
-def test_perm_builders_cover_the_perm_substrates():
-    assert {n for n in BUILDERS if n.startswith("perm")} <= set(PERM_BUILDERS)
+    if name == DIHEDRAL_130:
+        return dihedral(130, degree_cap=130)
+    return PERM_GROUPS[name]() if name in PERM_GROUPS else make_group(name)
 
 
 @pytest.mark.parametrize("name", PACKED_GROUPS)
 def test_packed_lookups_match_byte_keys(name):
     group = _perm_group(name)
     G = as_indexed(group)
-    assert (key_weights(G.width, G.degree) is None) == (name == FALLBACK)
+    assert (key_weights(G.degree) is None) == (name in FALLBACK)
     _check_lookups_match_byte_keys(G, group, np.random.default_rng(14))
 
 
@@ -325,11 +310,12 @@ def test_element_rows_are_the_rows_sorted_by_bytes(name):
 
 
 def test_non_element_sharing_a_prefix_is_not_found():
+    # its key falls right beside the element whose first nine images it shares
     G = as_indexed(direct_product([alternating(5), alternating(6)]))
-    assert G.width <= 9
     row = G.rows[[17]].copy()
     row[0, [9, 10]] = row[0, [10, 9]]
-    assert (row[0, :G.width] == G.rows[17, :G.width]).all()
+    assert (row[0, :9] == G.rows[17, :9]).all()
+    assert not (G.rows == row).all(axis=1).any()
     with pytest.raises(KeyError):
         G.index_of_rows(row)
     with pytest.raises(KeyError):
@@ -338,7 +324,7 @@ def test_non_element_sharing_a_prefix_is_not_found():
 
 def _involutions(degree):
     """Products of disjoint transpositions (2i 2i+1): their groups stay
-    small at any degree, so the prefix can outgrow 64 bits."""
+    small at any degree, so rows can outgrow 64 bits."""
     def swap(moved):
         return Permutation([2 * i + 1 - (p & 1) if i in moved else p
                             for i in range(degree // 2) for p in (2 * i, 2 * i + 1)])

@@ -37,7 +37,7 @@ from anaburnside.engine import (
 from anaburnside.engine import structure
 from anaburnside.engine.indexed import least_in_orbits
 
-from groupfiles import sl25_group
+from groupfiles import PERM_GROUPS, sl25_group
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -90,10 +90,7 @@ def _quotient_of_view():
 
 
 BUILDERS = {
-    "perm_s4": lambda: as_indexed(symmetric(4)),
-    "perm_d6": lambda: as_indexed(dihedral(6)),
-    "perm_a5": lambda: as_indexed(alternating(5)),
-    "perm_s3wr2": lambda: as_indexed(wreath(symmetric(3), symmetric(2))),
+    **{name: (lambda build=build: as_indexed(build())) for name, build in PERM_GROUPS.items()},
     "table_c12": lambda: _cyclic_table(12),
     "table_s4_relabelled": lambda: _relabelled_table(symmetric(4), 7),
     "table_sl25": sl25_group,

@@ -22,8 +22,8 @@ from anaburnside.engine import (
 from anaburnside.engine.structure import _certify_semisimple
 from anaburnside.errors import CapExceeded
 
-from test_indexed_arrays import BUILDERS, substrate
-from test_structure_loops import S5_FAMILY, WORKLOAD_GROUPS
+from groupfiles import PERM_GROUPS, WORKLOAD_GROUPS
+from test_structure_loops import S5_FAMILY
 
 SERIES_GROUPS = (
     "wreath(alternating(5),alternating(5))",
@@ -98,10 +98,7 @@ def test_derived_descriptor_needs_a_positive_step():
 
 
 def _perm_group(name):
-    if name in BUILDERS:
-        Gi = substrate(name)
-        return PermGroup(Gi.degree, [Gi.perm_of(g) for g in Gi.generator_indices])
-    return make_group(name)
+    return PERM_GROUPS[name]() if name in PERM_GROUPS else make_group(name)
 
 
 def _related_groups(G):
@@ -115,7 +112,7 @@ def _related_groups(G):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(n for n in BUILDERS if n.startswith("perm"))
+@pytest.mark.parametrize("name", sorted(PERM_GROUPS)
                          + sorted(set(WORKLOAD_GROUPS + SERIES_GROUPS) | set(S5_FAMILY)))
 def test_rule_matches_the_two_rule_certificate(name):
     answered = 0

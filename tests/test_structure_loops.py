@@ -41,6 +41,7 @@ from anaburnside.engine import (
 )
 from anaburnside.engine import structure
 
+from groupfiles import WORKLOAD_GROUPS
 from test_indexed_arrays import BUILDERS, substrate
 
 # group, minimal normal subgroup orders, socle order, lambda factors as
@@ -62,15 +63,6 @@ S5_FAMILY = {
         [3600], 3600, [("semisimple", 3600), ("solvable", 8)],
         {"Alt(5)": 2, "C_2": 3}),
 }
-
-# the groups of the benchmark's structure workload
-WORKLOAD_GROUPS = (
-    "psl2(4)", "psl2(5)", "psl2(7)", "psl2(8)", "symmetric(5)",
-    "direct_product(alternating(5),symmetric(4))",
-    "direct_product(alternating(5),alternating(6))",
-    "wreath(alternating(5),cyclic(2))",
-    "wreath(symmetric(4),cyclic(3))",
-)
 
 
 def _engine_closure(G, g):
