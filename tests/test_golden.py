@@ -75,6 +75,12 @@ COMMANDS = {
     # past the index cap: the derived series runs on generators only
     "lambda_wreath_s4_s4_series": ["lambda", "--group", "wreath(symmetric(4),symmetric(4))",
                                    "--series", "trivial,full"],
+    # words in the derived subgroup: powers of a commutator and nested
+    # disjoint commutators, which the analyzer splits once
+    "analyze_commutator_power_30": ["analyze", "[x,y]^30"],
+    "analyze_commutator_power_60": ["analyze", "[x,y]^60"],
+    "analyze_nested_commutator_rank3": ["analyze", "[[x,y],z]", "--rank", "3"],
+    "analyze_commutator_of_commutators_rank4": ["analyze", "[[x,y],[z,w]]", "--rank", "4"],
 }
 
 # the config object each of these entries writes to a file and passes with --config
