@@ -21,6 +21,7 @@ import numpy as np
 
 from ..config import Config
 from ..errors import CapExceeded
+from ..words import times_power
 from .perm import Permutation, PermGroup, invert_rows, key_weights, row_keys
 
 DENSE_CAP = 2048
@@ -177,14 +178,7 @@ class IndexedGroup:
         xs = np.arange(self.n) if xs is None else np.asarray(xs, dtype=np.intp)
         base = xs if e >= 0 else self.inverses()[xs]
         result = np.full(len(xs), self.identity_index, dtype=np.intp)
-        e = abs(e)
-        while e:
-            if e & 1:
-                result = self.products(result, base)
-            e >>= 1
-            if e:
-                base = self.products(base, base)
-        return result
+        return times_power(self.products, result, base, abs(e))
 
     # Handle protocol shared with PermGroup, used by word evaluation.
     def identity(self):

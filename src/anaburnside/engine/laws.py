@@ -9,7 +9,7 @@ import numpy as np
 
 from ..config import Config
 from ..errors import CapExceeded
-from ..words import Word, evaluate
+from ..words import Word, evaluate, times_power
 from .indexed import PermIndexedGroup, as_indexed
 from .perm import PermGroup, invert_rows
 from .structure import conjugacy_classes, is_simple, subgroup_closure
@@ -38,16 +38,8 @@ def _power_rows(rows, e):
     n, deg = rows.shape
     if e < 0:
         rows = invert_rows(rows)
-        e = -e
     result = np.broadcast_to(np.arange(deg, dtype=rows.dtype), (n, deg)).copy()
-    base = rows.copy()
-    while e:
-        if e & 1:
-            result = np.take_along_axis(base, result, axis=1)
-        e >>= 1
-        if e:
-            base = np.take_along_axis(base, base, axis=1)
-    return result
+    return times_power(lambda x, y: np.take_along_axis(y, x, axis=1), result, rows, abs(e))
 
 
 def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,

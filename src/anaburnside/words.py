@@ -241,20 +241,24 @@ def _renumber(syllables) -> Word:
 def split_disjoint_commutator(w: Word):
     """Detect w = a^-1 b^-1 a b with disjoint supports for a and b, syntactically.
 
-    Scans every factorization of the reduced syllable list into four blocks;
-    on success returns (a, b) renumbered onto their own ranks, else None.
+    With disjoint supports nothing cancels between the four blocks, so the
+    reduced syllables split at their midpoint into a^-1 b^-1 and a b. One
+    scan of the second half finds each cut i whose first i syllables share
+    no generator with the rest; the shortest cut at which rotating the
+    second half by i gives the inverted first half is the split. Returns
+    (a, b) renumbered onto their own ranks, else None.
     """
     s = w.syllables
-    m = len(s)
-    for i in range(1, m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                a, b = s[j:k], s[k:]
-                if s[:i] != _invert(a) or s[i:j] != _invert(b):
-                    continue
-                if {g for g, _ in a} & {g for g, _ in b}:
-                    continue
-                return _renumber(a), _renumber(b)
+    if len(s) % 2:
+        return None
+    half = len(s) // 2
+    second, first_inverted = s[half:], _invert(s[:half])
+    last = {g: t for t, (g, _) in enumerate(second)}
+    reach = 0
+    for i in range(1, half):
+        reach = max(reach, last[second[i - 1][0]])
+        if reach < i and second[i:] + second[:i] == first_inverted:
+            return _renumber(second[:i]), _renumber(second[i:])
     return None
 
 
@@ -274,17 +278,18 @@ def evaluate(w: Word, assignment, group):
         base = assignment[gen - 1]
         if exp < 0:
             base = group.inv(base)
-        result = _times_power(group, result, base, abs(exp))
+        result = times_power(group.mul, result, base, abs(exp))
     return result
 
 
-def _times_power(group, result, x, e):
-    """result * x**e by square-and-multiply: the powers of x commute, so
-    result takes x^(2^k) for each set bit k of e."""
+def times_power(mul, result, x, e):
+    """result * x**e for e >= 0 by square-and-multiply under the product
+    `mul`, for single elements or arrays of them: the powers of x commute,
+    so result takes x^(2^k) for each set bit k of e."""
     while e:
         if e & 1:
-            result = group.mul(result, x)
+            result = mul(result, x)
         e >>= 1
         if e:
-            x = group.mul(x, x)
+            x = mul(x, x)
     return result

@@ -6,7 +6,8 @@ below, which multiplies from each substrate's definition (permutation
 composition, table entries, a subgroup's parent elements, a quotient's
 cosets named by their least elements, the pair formula with the given
 action), never through the substrate's own arithmetic; every set is a
-Python set.
+Python set. The module also keeps the commutator split of `words` as the
+search over every triple of cut points that its single scan replaced.
 """
 
 import bisect
@@ -18,7 +19,7 @@ from anaburnside.engine import (CyclicGroup, LawVerdict, PairGroup, PermGroup,
                                 PermIndexedGroup, Permutation, QuotientGroup, SubgroupView,
                                 TableGroup, as_indexed)
 from anaburnside.engine import subgroup_closure as array_closure
-from anaburnside.words import evaluate
+from anaburnside.words import _invert, _renumber, evaluate
 
 
 def _pair_action(G):
@@ -400,3 +401,22 @@ def is_law_exhaustive(word, group):
         if evaluate(word, assignment, handle) != ident:
             return LawVerdict(False, assignment, "exhaustive", k + 1)
     return LawVerdict(True, None, "exhaustive", len(elements) ** word.rank)
+
+
+def split_disjoint_commutator(w):
+    """The split of w = a^-1 b^-1 a b with disjoint supports as a search
+    over every triple of cut points of the reduced syllables, comparing
+    slices at each; the first triple in lexicographic order wins. Quartic
+    in the syllable count."""
+    s = w.syllables
+    m = len(s)
+    for i in range(1, m - 2):
+        for j in range(i + 1, m - 1):
+            for k in range(j + 1, m):
+                a, b = s[j:k], s[k:]
+                if s[:i] != _invert(a) or s[i:j] != _invert(b):
+                    continue
+                if {g for g, _ in a} & {g for g, _ in b}:
+                    continue
+                return _renumber(a), _renumber(b)
+    return None

@@ -5,7 +5,6 @@ pair) is checked on small groups against `scalar_oracle`, which multiplies
 one element at a time from each substrate's definition.
 """
 
-import functools
 import random
 import time
 
@@ -17,13 +16,10 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from anaburnside.catalog import factorize
 from anaburnside.engine import (
-    CyclicGroup,
-    PairGroup,
     PermGroup,
     PermIndexedGroup,
     Permutation,
     QuotientGroup,
-    SubgroupView,
     TableGroup,
     alternating,
     as_indexed,
@@ -31,84 +27,13 @@ from anaburnside.engine import (
     densify,
     dihedral,
     direct_product,
-    symmetric,
-    wreath,
 )
 from anaburnside.engine import structure
 from anaburnside.engine.indexed import least_in_orbits
 
-from groupfiles import PERM_GROUPS, sl25_group
+from groupfiles import BUILDERS, substrate
 
 FAST = settings(max_examples=40, deadline=None)
-
-
-def _relabelled_table(group, seed):
-    """Cayley table of a permutation group under a seeded relabelling, so
-    that the identity is not element 0."""
-    elements = sorted(group.elements(), key=lambda p: p.images)
-    random.Random(seed).shuffle(elements)
-    index = {p: i for i, p in enumerate(elements)}
-    return TableGroup([[index[a * b] for b in elements] for a in elements])
-
-
-def _cyclic_table(n):
-    return TableGroup([[(i + j) % n for j in range(n)] for i in range(n)])
-
-
-def _semidirect_c7_c3():
-    def act(h, x):
-        return (x * pow(2, h, 7)) % 7
-    return PairGroup(_cyclic_table(7), _cyclic_table(3), action=act)
-
-
-def _alternating_in_symmetric(m):
-    sym = as_indexed(symmetric(m))
-    even = [i for i in range(sym.n)
-            if sum(len(c) - 1 for c in sym.perm_of(i).cycles()) % 2 == 0]
-    return SubgroupView(sym, even)
-
-
-def _klein_quotient():
-    s4 = as_indexed(symmetric(4))
-    v4 = [i for i in range(s4.n)
-          if sorted(len(c) for c in s4.perm_of(i).cycles()) in ([], [2, 2])]
-    return QuotientGroup(s4, v4)
-
-
-def _sl25_mod_center():
-    g = sl25_group()
-    center = [i for i in range(g.n) if g.order_of(i) <= 2]
-    return QuotientGroup(g, center)
-
-
-def _quotient_of_view():
-    s3wr = as_indexed(wreath(symmetric(3), symmetric(2)))
-    base = oracle.normal_closure(s3wr, [s3wr.generator_indices[0]])[0]
-    view = SubgroupView(s3wr, base)
-    inner = oracle.normal_closure(view, [view.generator_indices[0]])[0]
-    return QuotientGroup(view, inner)
-
-
-BUILDERS = {
-    **{name: (lambda build=build: as_indexed(build())) for name, build in PERM_GROUPS.items()},
-    "table_c12": lambda: _cyclic_table(12),
-    "table_s4_relabelled": lambda: _relabelled_table(symmetric(4), 7),
-    "table_sl25": sl25_group,
-    "cyclic_20": lambda: CyclicGroup(20),
-    "quotient_s4_v4": _klein_quotient,
-    "quotient_sl25_center": _sl25_mod_center,
-    "quotient_of_view": _quotient_of_view,
-    "view_a4_in_s4": lambda: _alternating_in_symmetric(4),
-    "view_a5_in_s5": lambda: _alternating_in_symmetric(5),
-    "pair_c3_c4": lambda: PairGroup(_cyclic_table(3), _cyclic_table(4)),
-    "pair_c7_c3": _semidirect_c7_c3,
-    "pair_s3_c2": lambda: PairGroup(_relabelled_table(symmetric(3), 3), _cyclic_table(2)),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def substrate(name):
-    return BUILDERS[name]()
 
 
 names = st.sampled_from(sorted(BUILDERS))

@@ -22,8 +22,7 @@ from anaburnside.engine import (
 from anaburnside.engine.structure import _certify_semisimple
 from anaburnside.errors import CapExceeded
 
-from groupfiles import PERM_GROUPS, WORKLOAD_GROUPS
-from test_structure_loops import S5_FAMILY
+from groupfiles import PERM_GROUPS, S5_FAMILY, WORKLOAD_GROUPS
 
 SERIES_GROUPS = (
     "wreath(alternating(5),alternating(5))",

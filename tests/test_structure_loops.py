@@ -41,28 +41,7 @@ from anaburnside.engine import (
 )
 from anaburnside.engine import structure
 
-from groupfiles import WORKLOAD_GROUPS
-from test_indexed_arrays import BUILDERS, substrate
-
-# group, minimal normal subgroup orders, socle order, lambda factors as
-# (kind, order), composition factor names with multiplicity
-S5_FAMILY = {
-    "direct_product(symmetric(5),cyclic(2))": (
-        [2, 60], 120, [("solvable", 2), ("semisimple", 60), ("solvable", 2)],
-        {"Alt(5)": 1, "C_2": 2}),
-    "direct_product(symmetric(5),symmetric(3))": (
-        [3, 60], 180, [("solvable", 6), ("semisimple", 60), ("solvable", 2)],
-        {"Alt(5)": 1, "C_2": 2, "C_3": 1}),
-    "direct_product(symmetric(5),alternating(5))": (
-        [60, 60], 3600, [("semisimple", 3600), ("solvable", 2)],
-        {"Alt(5)": 2, "C_2": 1}),
-    "direct_product(symmetric(5),symmetric(5))": (
-        [60, 60], 3600, [("semisimple", 3600), ("solvable", 4)],
-        {"Alt(5)": 2, "C_2": 2}),
-    "wreath(symmetric(5),cyclic(2))": (
-        [3600], 3600, [("semisimple", 3600), ("solvable", 8)],
-        {"Alt(5)": 2, "C_2": 3}),
-}
+from groupfiles import BUILDERS, S5_FAMILY, WORKLOAD_GROUPS, substrate
 
 
 def _engine_closure(G, g):

@@ -1,9 +1,13 @@
 """Word parsing, reduction, exponent analysis, commutator splitting, evaluation."""
 
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import scalar_oracle as oracle
 from anaburnside.engine import alternating, as_indexed, is_law
 from anaburnside.errors import WordSyntaxError
 from anaburnside.words import (
@@ -145,6 +149,60 @@ def test_split_requires_disjoint_supports():
     assert split_disjoint_commutator(parse_word("[x y, y z]")) is None
 
 
+def _syllables(gens, min_size=1, max_size=4):
+    return st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((-3, -2, -1, 1, 2, 3))),
+                    min_size=min_size, max_size=max_size)
+
+
+def _commutator(a, b):
+    return Word.make(list(a.inverse().syllables) + list(b.inverse().syllables)
+                     + list(a.syllables) + list(b.syllables), rank=4)
+
+
+@st.composite
+def _factor(draw, gens, nested):
+    """A random word of at most four syllables on `gens`, or with `nested`
+    the commutator of two one-syllable words on them."""
+    if nested and draw(st.booleans()):
+        u, v = draw(_syllables(gens, max_size=1)), draw(_syllables(gens, max_size=1))
+        return _commutator(Word.make(u, rank=4), Word.make(v, rank=4))
+    return Word.make(draw(_syllables(gens)), rank=4)
+
+
+@st.composite
+def _split_candidates(draw):
+    """Words of at most 16 syllables: a^-1 b^-1 a b with disjoint or
+    overlapping supports, nested one level, or random reduced words."""
+    kind = draw(st.sampled_from(("disjoint", "overlapping", "nested", "random")))
+    if kind == "random":
+        return Word.make(draw(_syllables((1, 2, 3, 4), min_size=0, max_size=16)), rank=4)
+    gens = draw(st.permutations((1, 2, 3, 4)))
+    cut = draw(st.integers(1, 3))
+    if kind == "overlapping":
+        left, right = gens[:cut + 1], gens[cut - 1:]
+    else:
+        left, right = gens[:cut], gens[cut:]
+    nested = kind == "nested"
+    return _commutator(draw(_factor(left, nested)), draw(_factor(right, nested)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_candidates())
+def test_split_matches_the_cut_triple_search(w):
+    assert len(w.syllables) <= 16
+    assert split_disjoint_commutator(w) == oracle.split_disjoint_commutator(w)
+
+
+def test_split_of_a_long_commutator_is_linear():
+    # 320 000 syllables: about 5·10^15 triples of cut points
+    w = parse_word("[(x z)^50000, (y w)^30000]", rank_hint=4)
+    start = time.perf_counter()
+    a, b = split_disjoint_commutator(w)
+    assert time.perf_counter() - start < 2
+    assert a == parse_word("(x y)^50000") and b == parse_word("(x y)^30000")
+    assert (len(a.syllables), len(b.syllables)) == (100_000, 60_000)
+
+
 def test_support():
     assert support(parse_word("[x^5,y] z")) == (1, 2, 3)
     assert support(parse_word("x y x^-1 y^-1 y x y^-1 x^-1 y")) == (2,)
@@ -220,6 +278,22 @@ def test_print_parse_roundtrip():
         assert parse_word(to_string(w)) == w
     assert to_string(parse_word("x5")) == "x5"
     assert to_string(parse_word("[x^5,y]")) == "x^-5 y^-1 x^5 y"
+
+
+@st.composite
+def _words_up_to_rank_7(draw):
+    """Named generators up to rank 4, indexed ones past it."""
+    rank = draw(st.integers(1, 7))
+    syllables = draw(st.lists(st.tuples(st.integers(1, rank), st.integers(-40, 40)),
+                              min_size=1, max_size=12))
+    return Word.make(syllables, rank=rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words_up_to_rank_7())
+def test_print_parse_roundtrip_property(w):
+    assume(not w.is_empty())
+    assert parse_word(to_string(w), rank_hint=w.rank) == w
 
 
 def test_evaluate_huge_exponent_by_squaring():
