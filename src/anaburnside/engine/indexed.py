@@ -13,8 +13,16 @@ is computed once and kept. Everything else is derived from these two in
 `column(j)` (restricted to the indexes `at` when given), `conjugates`,
 element orders from one power loop, and powers by square-and-multiply.
 Closures, conjugacy classes and coset labelling run as frontier-array
-operations over these. Columns are computed when asked for and never cached
-per element.
+operations over these.
+
+Besides the inverses, three things are kept once computed, so each is paid
+once per group:
+- the column of each generator, n x #generators entries. Conjugating by a
+  generator is four gathers through it (`conjugates`). Columns of other
+  elements are computed when asked for and not kept.
+- a `PermGroup`'s `PermIndexedGroup`, on the group (`as_indexed`)
+- an indexed group's minimal normal subgroups, with read-only masks, kept
+  on it by `engine.structure`
 """
 
 import numpy as np
@@ -117,6 +125,8 @@ class IndexedGroup:
     identity_index = 0
     generator_indices = ()
     _inverse_array = None
+    _generator_columns = None
+    _minimal_normals = None  # kept by engine.structure
 
     def products(self, xs, ys):
         """Right products xs[i]*ys[i] of two index arrays of one length, as
@@ -144,10 +154,19 @@ class IndexedGroup:
             self._inverse_array = self._compute_inverses()
         return self._inverse_array
 
+    def generator_columns(self):
+        """The column of each of `generator_indices`, by generator, computed
+        once."""
+        if self._generator_columns is None:
+            self._generator_columns = {g: self.column(g) for g in self.generator_indices}
+        return self._generator_columns
+
     def conjugates(self, xs, g):
-        """g^-1 x g for every x in the index array `xs`."""
-        inv = self.inverses()
-        return self.products(inv[self.products(inv[xs], g)], g)
+        """g^-1 x g for every x in the index array `xs`, for g one of
+        `generator_indices`: x -> x^-1 -> x^-1 g -> g^-1 x -> g^-1 x g, four
+        gathers through the inverses and g's kept column."""
+        col, inv = self.generator_columns()[g], self.inverses()
+        return col[inv[col[inv[xs]]]]
 
     def orders(self, xs=None):
         """Order of each element of the index array `xs` (default: every
@@ -355,10 +374,13 @@ class QuotientGroup(IndexedGroup):
     """Quotient by a normal subgroup, elements labeled by coset of min index.
 
     Coset ids follow the cosets' least elements in ascending order, and
-    each coset's representative is its least element.
+    each coset's representative is its least element. `generators`, parent
+    indexes generating the subgroup, spare finding a greedy generating set;
+    they are checked: the identity's orbit under their columns, the
+    subgroup they generate, must be the given indices.
     """
 
-    def __init__(self, parent, normal_indices):
+    def __init__(self, parent, normal_indices, generators=None):
         normal = _distinct(_index_array(normal_indices))
         e = parent.identity_index
         in_normal = np.zeros(parent.n, dtype=bool)
@@ -368,14 +390,18 @@ class QuotientGroup(IndexedGroup):
         if parent.order() % len(normal):
             raise ValueError("subgroup size does not divide the group order")
         self.parent = parent
-        # greedy generators of the subgroup, by ascending index
-        closure = Closure(parent, cap=len(normal))
-        while closure.size < len(normal):
-            closure.add(int(normal[np.argmin(closure.mask[normal])]))
-            if (closure.mask & ~in_normal).any():
-                raise ValueError("indices are not closed under multiplication")
+        if generators is None:
+            # greedy generators of the subgroup, by ascending index
+            closure = Closure(parent, cap=len(normal))
+            while closure.size < len(normal):
+                closure.add(int(normal[np.argmin(closure.mask[normal])]))
+                if (closure.mask & ~in_normal).any():
+                    raise ValueError("indices are not closed under multiplication")
+            generators = closure.gens
         # least element of each coset iN (= Ni when N is normal)
-        least = least_in_orbits(parent.n, [parent.column(t) for t in closure.gens])
+        least = least_in_orbits(parent.n, [parent.column(t) for t in generators])
+        if not np.array_equal(least == least[e], in_normal):
+            raise ValueError("generators do not generate the given indices")
         reps, labels = np.unique(least, return_inverse=True)
         self.labels = labels.astype(np.intp)
         self.reps = reps.astype(np.intp)
@@ -467,11 +493,15 @@ class PairGroup(IndexedGroup):
 
 
 def as_indexed(group, cap=Config.cayley_cap):
-    """Present a group handle with integer element indexes."""
+    """Present a group handle with integer element indexes. A `PermGroup`
+    is indexed once and keeps its index; a `cap` below its order still
+    raises CapExceeded, from `PermIndexedGroup`."""
     if isinstance(group, IndexedGroup):
         return group
     if isinstance(group, PermGroup):
-        return PermIndexedGroup(group, cap=cap)
+        if group._indexed is None or group._indexed.n > cap:
+            group._indexed = PermIndexedGroup(group, cap=cap)
+        return group._indexed
     raise TypeError("cannot index %r" % type(group).__name__)
 
 

@@ -179,6 +179,7 @@ class PermGroup:
         self.generators = [g for g in gens if not g.is_identity()]
         self._levels = None
         self._base_hint = ()
+        self._indexed = None  # the PermIndexedGroup, kept by `as_indexed`
 
     # -- group-handle protocol used by word evaluation --
 

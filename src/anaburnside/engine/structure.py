@@ -85,12 +85,17 @@ def conjugacy_classes(G):
     return [c.tolist() for c in np.split(order, cuts)]
 
 
+def _pairs(gens):
+    """Index arrays (a, b) of the pairs a = gens[i], b = gens[j], i < j, in
+    row-major order."""
+    i, j = np.triu_indices(len(gens), 1)
+    gens = np.asarray(gens, dtype=np.intp)
+    return gens[i], gens[j]
+
+
 def _gens_commute(G, gens):
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if G.mul(a, b) != G.mul(b, a):
-                return False
-    return True
+    a, b = _pairs(gens)
+    return bool((G.products(a, b) == G.products(b, a)).all())
 
 
 def _of_prime_order(G, xs):
@@ -106,7 +111,8 @@ def _of_prime_order(G, xs):
 
 
 def _minimal_normals_with_gens(G):
-    """Minimal normal subgroups as (element mask, generators) pairs.
+    """Minimal normal subgroups as (element mask, generators) pairs,
+    computed once per indexed group and kept on it, masks read-only.
 
     Every minimal normal subgroup is the normal closure of any of its
     prime-order elements, so closures of prime-order class representatives
@@ -117,8 +123,14 @@ def _minimal_normals_with_gens(G):
     the whole group; candidates swallowing an earlier proper candidate are
     not minimal. If nothing proper remains the group is simple.
     """
+    if G._minimal_normals is None:
+        G._minimal_normals = _find_minimal_normals(G)
+    return G._minimal_normals
+
+
+def _find_minimal_normals(G):
     if G.n == 1:
-        return []
+        return ()
     least = _class_least(G)
     classes = np.flatnonzero(least == np.arange(G.n))  # each class's least element
     sizes = np.bincount(least)[classes]
@@ -138,15 +150,16 @@ def _minimal_normals_with_gens(G):
         if not any(_size(T) < _size(S) and not (T & ~S).any() for T, _ in found):
             minimal.append((S, gens))
     if not minimal:
-        return [(np.ones(G.n, dtype=bool), tuple(G.generator_indices))]
+        minimal = [(np.ones(G.n, dtype=bool), tuple(G.generator_indices))]
     out = []
     seen = set()
     for S, gens in sorted(minimal, key=lambda p: (_size(p[0]), np.flatnonzero(p[0]).tolist())):
         key = np.packbits(S).tobytes()
         if key not in seen:
             seen.add(key)
+            S.flags.writeable = False
             out.append((S, gens))
-    return out
+    return tuple(out)
 
 
 def minimal_normal_subgroups(G):
@@ -161,11 +174,12 @@ def is_solvable(G):
     generators: that term is characteristic, so normal in G, and the
     closure is its derived subgroup."""
     Gi = as_indexed(G)
+    inv = Gi.inverses()
     size, gens = Gi.n, Gi.generator_indices
     while size > 1:
-        comms = [Gi.mul(Gi.mul(Gi.inv(a), Gi.inv(b)), Gi.mul(a, b))
-                 for i, a in enumerate(gens) for b in gens[i + 1:]]
-        S, gens = normal_closure_indexed(Gi, comms)
+        a, b = _pairs(gens)
+        comms = Gi.products(Gi.products(inv[a], inv[b]), Gi.products(a, b))
+        S, gens = normal_closure_indexed(Gi, comms.tolist())
         if _size(S) == size:
             return False
         size = _size(S)
@@ -190,8 +204,8 @@ def _peel_radical(Q):
         abelian = [g for _, gens in mins if _gens_commute(top, gens) for g in gens]
         if not abelian:
             return labels == top.identity_index, top, mins
-        N, _ = normal_closure_indexed(top, abelian)
-        top = QuotientGroup(top, np.flatnonzero(N))
+        N, Ngens = normal_closure_indexed(top, abelian)
+        top = QuotientGroup(top, np.flatnonzero(N), Ngens)
         labels = top.labels[labels]
 
 
@@ -303,7 +317,7 @@ def composition_report(G):
                 raise RuntimeError("simple parts do not fill the minimal normal subgroup")
         if size == Q.n:
             break
-        Q = QuotientGroup(Q, np.flatnonzero(M))
+        Q = QuotientGroup(Q, np.flatnonzero(M), Mgens)
         labels = Q.labels[labels]
     order_product = 1
     for f in factors:
@@ -399,13 +413,13 @@ def nonsolvable_length(G):
         if _size(R) > 1:
             factors.append(LambdaFactor("solvable radical", _size(R), "solvable", False,
                                         "largest solvable normal subgroup"))
-        soc, _ = normal_closure_indexed(top, [g for _, gens in mins for g in gens])
+        soc, socgens = normal_closure_indexed(top, [g for _, gens in mins for g in gens])
         factors.append(LambdaFactor("semisimple socle layer", _size(soc), "semisimple", True,
                                     "product of nonabelian minimal normal subgroups"))
         value += 1
         if _size(soc) == top.n:
             break
-        Q = QuotientGroup(top, np.flatnonzero(soc))
+        Q = QuotientGroup(top, np.flatnonzero(soc), socgens)
     else:
         if Q.n > 1:
             factors.append(LambdaFactor("solvable group", Q.n, "solvable", False,

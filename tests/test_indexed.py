@@ -96,6 +96,20 @@ def test_perm_indexed_round_trip():
 def test_as_indexed_idempotent():
     g = as_indexed(alternating(5))
     assert as_indexed(g) is g
+
+
+def test_a_perm_group_is_indexed_once():
+    group = alternating(5)
+    g = as_indexed(group)
+    assert as_indexed(group) is g and as_indexed(group, cap=60) is g
+    with pytest.raises(CapExceeded, match="order 60 exceeds cap 59"):
+        as_indexed(group, cap=59)
+    assert as_indexed(group) is g
+    # a group not yet indexed refuses a small cap too, and keeps no index
+    fresh = alternating(5)
+    with pytest.raises(CapExceeded):
+        as_indexed(fresh, cap=59)
+    assert as_indexed(fresh) is not g
     assert g.n == 60
 
 

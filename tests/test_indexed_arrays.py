@@ -181,6 +181,36 @@ def test_quotient_errors_match_scalar(name, data):
         assert (Q.labels.tolist(), Q.reps.tolist()) == expected
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_conjugates_through_kept_columns_match_products(name):
+    G = substrate(name)
+    xs, inv = np.arange(G.n), G.inverses()
+    for g in G.generator_indices:
+        assert G.conjugates(xs, g).tolist() == \
+            G.products(inv[G.products(inv[xs], g)], g).tolist()
+    assert sorted(G.generator_columns()) == sorted(G.generator_indices)
+
+
+@FAST
+@given(names, st.data())
+def test_quotient_checks_the_generators_it_is_given(name, data):
+    G = substrate(name)
+    normal, closure_gens = oracle.normal_closure(G, data.draw(elements(G, 2)))
+    inside = sorted(normal)
+    gens = data.draw(st.one_of(
+        st.just(list(closure_gens)),
+        st.lists(st.sampled_from(inside), max_size=3),
+        elements(G, 3)))
+    if oracle.subgroup_closure(G, gens) != normal:
+        with pytest.raises(ValueError, match="do not generate"):
+            QuotientGroup(G, normal, gens)
+        return
+    Q, greedy = QuotientGroup(G, normal, gens), QuotientGroup(G, normal)
+    assert Q.labels.tolist() == greedy.labels.tolist()
+    assert Q.reps.tolist() == greedy.reps.tolist()
+    assert (Q.n, Q.generator_indices) == (greedy.n, greedy.generator_indices)
+
+
 @pytest.mark.parametrize("name", [n for n in sorted(BUILDERS) if not n.startswith(("perm", "table"))])
 def test_densify_builds_the_scalar_table(name):
     G = substrate(name)

@@ -109,16 +109,18 @@ def _check_derived_series(G, monkeypatch):
     closure = structure.normal_closure_indexed
 
     def recorded(G, seeds):
-        terms.append(closure(G, seeds))
-        return terms[-1]
+        terms.append((list(seeds), closure(G, seeds)))
+        return terms[-1][1]
 
     monkeypatch.setattr(structure, "normal_closure_indexed", recorded)
     structure.is_solvable(G)
     assert terms
     gens = G.generator_indices
-    for mask, next_gens in terms:
+    for seeds, (mask, next_gens) in terms:
+        # the batched commutators are the scalar ones, in the same order
         comms = [G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
                  for i, a in enumerate(gens) for b in gens[i + 1:]]
+        assert seeds == comms
         want, _ = scalar_oracle.normal_closure(G, comms, conjugators=gens)
         assert structure._frozen(mask) == want
         gens = next_gens
@@ -181,3 +183,43 @@ def test_semisimple_rule_matches_per_part_test():
         assert is_semisimple(G) == want
         seen[want] += 1
     assert seen[True] >= 10 and seen[False] >= 10
+
+
+@pytest.mark.parametrize("desc", WORKLOAD_GROUPS)
+def test_quotients_given_generators_match_greedy_ones(desc, monkeypatch):
+    # every quotient the loops build from a closure's generators is the one
+    # built from a greedy generating set of the same subgroup
+    built = []
+
+    class Recorded(QuotientGroup):
+        def __init__(self, parent, normal_indices, generators=None):
+            super().__init__(parent, normal_indices, generators)
+            built.append((parent, normal_indices, generators, self))
+
+    monkeypatch.setattr(structure, "QuotientGroup", Recorded)
+    G = as_indexed(make_group(desc))
+    nonsolvable_length(G)
+    composition_report(G)
+    for parent, normal, gens, Q in built:
+        assert gens is not None
+        greedy = QuotientGroup(parent, normal)
+        assert Q.labels.tolist() == greedy.labels.tolist()
+        assert Q.reps.tolist() == greedy.reps.tolist()
+        assert (Q.n, Q.generator_indices) == (greedy.n, greedy.generator_indices)
+
+
+def test_lambda_then_composition_find_the_minimal_normals_once(monkeypatch):
+    group = make_group("direct_product(alternating(5),alternating(6))")
+    found = []
+    find = structure._find_minimal_normals
+    monkeypatch.setattr(structure, "_find_minimal_normals",
+                        lambda G: found.append(G) or find(G))
+    nonsolvable_length(group)
+    composition_report(group)
+    top = as_indexed(group)
+    assert sum(G is top for G in found) == 1
+    mins = structure._minimal_normals_with_gens(top)
+    assert structure._minimal_normals_with_gens(top) is mins
+    for S, _ in mins:
+        with pytest.raises(ValueError, match="read-only"):
+            S[0] = not S[0]

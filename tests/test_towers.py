@@ -347,3 +347,16 @@ def test_pow_t_agrees_with_repeated_mul_t(x, n):
     for _ in range(n - 1):
         product = mul_t(product, x)
     assert close_t(pow_t(x, n), product)
+
+
+bases = st.builds(TowerNumber, st.integers(1, 9), indexes)  # values >= 1
+exponents = st.integers(0, 50)
+
+
+@PROPERTY
+@given(bases, bases, exponents, exponents)
+def test_pow_t_is_monotone_in_base_and_exponent(x, y, m, n):
+    lo, hi = (x, y) if cmp_t(x, y) <= 0 else (y, x)
+    assert cmp_t(pow_t(lo, n), pow_t(hi, n)) <= 0
+    m, n = min(m, n), max(m, n)
+    assert cmp_t(pow_t(x, m), pow_t(x, n)) <= 0
