@@ -93,9 +93,14 @@ def _pairs(gens):
     return gens[i], gens[j]
 
 
-def _gens_commute(G, gens):
-    a, b = _pairs(gens)
+def _commute(G, a, b):
+    """True when a[i] b[i] = b[i] a[i] for every i of the index arrays a
+    and b: one batched `products` pair."""
     return bool((G.products(a, b) == G.products(b, a)).all())
+
+
+def _gens_commute(G, gens):
+    return _commute(G, *_pairs(gens))
 
 
 def _of_prime_order(G, xs):
@@ -122,6 +127,16 @@ def _minimal_normals_with_gens(G):
     past half the earlier one. Candidates that grow past half the group are
     the whole group; candidates swallowing an earlier proper candidate are
     not minimal. If nothing proper remains the group is simple.
+
+    A representative x is not closed at all when some earlier closure S has
+    x outside it and x fails to commute with a generator of S. S is normal,
+    so for s in S the commutator [x,s] = x^-1 (s^-1 x s) = (x^-1 s^-1 x) s
+    lies both in N = <x^G> and in S. If x does not centralize S, some such
+    commutator is nontrivial, and N∩S is a nontrivial normal subgroup that
+    misses x, so properly inside N: N is not minimal. The test never skips
+    a representative whose closure is a minimal normal subgroup M, so each
+    M is still found first by the same representative, with the same
+    generators, and the result is unchanged.
     """
     if G._minimal_normals is None:
         G._minimal_normals = _find_minimal_normals(G)
@@ -138,6 +153,10 @@ def _find_minimal_normals(G):
     reps = sorted(zip(sizes[prime].tolist(), classes[prime].tolist()))
     found = []
     for _, rep in reps:
+        # outside an earlier closure and not centralizing it: not minimal
+        outside = np.array([g for S, gens in found if not S[rep] for g in gens], dtype=np.intp)
+        if outside.size and not _commute(G, np.full_like(outside, rep), outside):
+            continue
         # a normal subgroup inside an earlier closure S is S, found
         # already, or at most half of S
         cap = min([G.n] + [_size(S) for S, _ in found if S[rep]]) // 2
@@ -172,16 +191,21 @@ def is_solvable(G):
     """True when the derived series reaches the identity. Each term is the
     normal closure in G of the commutators of the previous term's
     generators: that term is characteristic, so normal in G, and the
-    closure is its derived subgroup."""
+    closure is its derived subgroup.
+
+    Each closure is capped at half the previous term: the derived subgroup
+    lies in that term, so by Lagrange one past half of it is all of it, and
+    the series has stopped short of the identity."""
     Gi = as_indexed(G)
     inv = Gi.inverses()
     size, gens = Gi.n, Gi.generator_indices
     while size > 1:
         a, b = _pairs(gens)
         comms = Gi.products(Gi.products(inv[a], inv[b]), Gi.products(a, b))
-        S, gens = normal_closure_indexed(Gi, comms.tolist())
-        if _size(S) == size:
+        term = normal_closure_indexed(Gi, comms.tolist(), cap=size // 2)
+        if term is None:
             return False
+        S, gens = term
         size = _size(S)
     return True
 
@@ -404,7 +428,10 @@ def nonsolvable_length(G):
 
     One loop step is one level: peel the radical, take the socle of the top
     quotient, and go on with the quotient by it, until that is solvable or
-    the socle fills the top.
+    the socle fills the top. Every minimal normal subgroup of the top is
+    nonabelian, so the socle is their direct product (the argument in
+    `is_semisimple`) and its order is the product of their orders. The
+    socle itself is closed only when it is proper, to quotient by it.
     """
     Q = as_indexed(G)
     value, factors = 0, []
@@ -413,12 +440,13 @@ def nonsolvable_length(G):
         if _size(R) > 1:
             factors.append(LambdaFactor("solvable radical", _size(R), "solvable", False,
                                         "largest solvable normal subgroup"))
-        soc, socgens = normal_closure_indexed(top, [g for _, gens in mins for g in gens])
-        factors.append(LambdaFactor("semisimple socle layer", _size(soc), "semisimple", True,
+        order = math.prod(_size(S) for S, _ in mins)
+        factors.append(LambdaFactor("semisimple socle layer", order, "semisimple", True,
                                     "product of nonabelian minimal normal subgroups"))
         value += 1
-        if _size(soc) == top.n:
+        if order == top.n:
             break
+        soc, socgens = normal_closure_indexed(top, [g for _, gens in mins for g in gens])
         Q = QuotientGroup(top, np.flatnonzero(soc), socgens)
     else:
         if Q.n > 1:

@@ -18,6 +18,7 @@ import pytest
 
 import scalar_oracle
 import structure_oracle as old
+from anaburnside.catalog import factorize
 from anaburnside.engine import (
     PairGroup,
     Permutation,
@@ -71,6 +72,47 @@ def test_s5_family_normal_structure(desc):
     assert Counter(f.name for f in composition_report(G).factors) == comp
 
 
+CENTRALIZER_TEST_GROUPS = (
+    "direct_product(alternating(5),alternating(6))",
+    "wreath(symmetric(4),cyclic(3))",
+    "wreath(alternating(5),cyclic(2))",
+)
+
+
+def _check_minimal_normals(G):
+    # the centralizer test leaves the minimal normal subgroups and the
+    # generators kept for each as they are by definition
+    assert minimal_normal_subgroups(G) == _definition(G)
+    for S, gens in structure._minimal_normals_with_gens(G):
+        mask, _ = structure.normal_closure_indexed(G, list(gens))
+        assert (mask == S).all()
+
+
+@pytest.mark.parametrize("desc", CENTRALIZER_TEST_GROUPS)
+def test_minimal_normals_skipping_non_centralizing_candidates(desc):
+    _check_minimal_normals(as_indexed(make_group(desc)))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_minimal_normals_skipping_non_centralizing_candidates_on_substrates(name):
+    _check_minimal_normals(BUILDERS[name]())
+
+
+@pytest.mark.parametrize("desc, skipped", [(CENTRALIZER_TEST_GROUPS[0], 7),
+                                           (CENTRALIZER_TEST_GROUPS[1], 12)])
+def test_centralizer_test_skips_closures(desc, skipped, monkeypatch):
+    # every prime-order class representative is either closed or skipped
+    G = as_indexed(make_group(desc))
+    closed = []
+    closure = structure.normal_closure_indexed
+    monkeypatch.setattr(structure, "normal_closure_indexed",
+                        lambda G, seeds, **kwargs: closed.append(seeds) or closure(G, seeds, **kwargs))
+    structure._find_minimal_normals(G)
+    primes = {p for p, _ in factorize(G.n)}
+    reps = sum(1 for c in conjugacy_classes(G) if G.order_of(c[0]) in primes)
+    assert reps - len(closed) == skipped
+
+
 def test_semisimple_needs_the_true_minimal_normals():
     # the closure of a transposition (all of Sym(5)) once hid Alt(5), and
     # Alt(5) and Sym(5) multiply to |Sym(5) x Alt(5)|
@@ -104,26 +146,34 @@ def test_loops_match_recursions_on_workload_groups(desc):
 
 def _check_derived_series(G, monkeypatch):
     # is_solvable takes each term as a normal closure in G; it must equal
-    # the closure under the previous term's own generators
+    # the closure under the previous term's own generators, and a closure
+    # given up at its cap must be the whole previous term
     terms = []
     closure = structure.normal_closure_indexed
 
-    def recorded(G, seeds):
-        terms.append((list(seeds), closure(G, seeds)))
+    def recorded(G, seeds, **kwargs):
+        terms.append((list(seeds), closure(G, seeds, **kwargs)))
         return terms[-1][1]
 
     monkeypatch.setattr(structure, "normal_closure_indexed", recorded)
-    structure.is_solvable(G)
+    solvable = structure.is_solvable(G)
     assert terms
-    gens = G.generator_indices
-    for seeds, (mask, next_gens) in terms:
+    gens, previous = G.generator_indices, frozenset(range(G.n))
+    for k, (seeds, term) in enumerate(terms):
         # the batched commutators are the scalar ones, in the same order
         comms = [G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
                  for i, a in enumerate(gens) for b in gens[i + 1:]]
         assert seeds == comms
         want, _ = scalar_oracle.normal_closure(G, comms, conjugators=gens)
+        if term is None:
+            assert want == previous
+            assert k == len(terms) - 1 and not solvable
+            break
+        mask, gens = term
         assert structure._frozen(mask) == want
-        gens = next_gens
+        previous = want
+    else:
+        assert solvable and len(previous) == 1
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
