@@ -27,7 +27,6 @@ class Config:
     cayley_cap: int = 100_000        # max order for indexed-group normal-structure work
     exhaust_cap: int = 100_000_000   # max evaluations for exhaustive law checks
     degree_cap: int = 64             # max permutation degree
-    lambda_certify_cap: int = 5_000  # read by nothing: nonsolvable length is always exact
     seed: int = 20260816             # seed for sampled modes, recorded in reports
     precision: int = 60              # working decimal digits for tower indexes
 
@@ -37,7 +36,7 @@ class Config:
         for name in ("c1", "c2", "c3", "c4", "c_lower"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
-        for name in ("cayley_cap", "exhaust_cap", "degree_cap", "lambda_certify_cap"):
+        for name in ("cayley_cap", "exhaust_cap", "degree_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"cap {name} must be positive")
         if self.precision < 50:

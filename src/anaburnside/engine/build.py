@@ -9,9 +9,6 @@ from ..errors import CapExceeded
 from .indexed import CyclicGroup, TableGroup
 from .perm import Permutation, PermGroup
 
-ALT_SYM_CAP = 16
-PSL_Q_CAP = 32
-
 # Monic irreducible polynomials, coefficients listed from the constant term up.
 _IRREDUCIBLE = {
     4: (1, 1, 1),
@@ -98,9 +95,16 @@ def cyclic(n, degree_cap=Config.degree_cap, cayley_cap=Config.cayley_cap):
     return CyclicGroup(n, cayley_cap)
 
 
+def _check_degree(kind, degree, degree_cap):
+    """Refuse a group of degree past `degree_cap` before any of it is built."""
+    if degree > degree_cap:
+        raise CapExceeded("%s degree %d exceeds degree_cap %d" % (kind, degree, degree_cap))
+
+
 def symmetric(m, degree_cap=Config.degree_cap):
-    if not 1 <= m <= ALT_SYM_CAP:
-        raise CapExceeded("symmetric degree %d outside 1..%d" % (m, ALT_SYM_CAP))
+    if m < 1:
+        raise ValueError("symmetric requires m >= 1")
+    _check_degree("symmetric", m, degree_cap)
     if m == 1:
         return PermGroup(1, [], degree_cap)
     gens = [Permutation.from_cycles(m, [(0, 1)])]
@@ -110,10 +114,11 @@ def symmetric(m, degree_cap=Config.degree_cap):
 
 
 def alternating(m, degree_cap=Config.degree_cap):
-    if not 1 <= m <= ALT_SYM_CAP:
-        raise CapExceeded("alternating degree %d outside 1..%d" % (m, ALT_SYM_CAP))
+    if m < 1:
+        raise ValueError("alternating requires m >= 1")
+    _check_degree("alternating", m, degree_cap)
     if m <= 2:
-        return PermGroup(max(m, 1), [], degree_cap)
+        return PermGroup(m, [], degree_cap)
     gens = [Permutation.from_cycles(m, [(0, 1, 2)])]
     if m > 3:
         cyc = tuple(range(m)) if m % 2 == 1 else tuple(range(1, m))
@@ -125,8 +130,7 @@ def dihedral(n, degree_cap=Config.degree_cap):
     """Symmetries of the n-gon, order 2n, for n >= 3."""
     if n < 3:
         raise ValueError("dihedral requires n >= 3")
-    if n > degree_cap:
-        raise CapExceeded("dihedral degree %d exceeds %d" % (n, degree_cap))
+    _check_degree("dihedral", n, degree_cap)
     rot = Permutation([(i + 1) % n for i in range(n)])
     ref = Permutation([(n - i) % n for i in range(n)])
     return PermGroup(n, [rot, ref], degree_cap)
@@ -137,10 +141,11 @@ def psl2_group(q, degree_cap=Config.degree_cap):
 
     Point i < q is the field element i, point q is the point at infinity.
     Generated by all upper and lower transvections; the order is asserted
-    against the catalog's `exact_order`.
+    against the catalog's `exact_order`. q + 1 past `degree_cap` is refused
+    before the field is built, and a q that is a prime power but not prime
+    needs an entry in `_IRREDUCIBLE`.
     """
-    if q > PSL_Q_CAP:
-        raise CapExceeded("psl2 parameter %d exceeds %d" % (q, PSL_Q_CAP))
+    _check_degree("psl2", q + 1, degree_cap)
     field = GaloisField(q)
     inf = q
 
@@ -173,8 +178,7 @@ def direct_product(groups, degree_cap=Config.degree_cap):
     if not all(isinstance(g, PermGroup) for g in groups):
         raise ValueError("direct_product expects permutation groups")
     degree = sum(g.degree for g in groups)
-    if degree > degree_cap:
-        raise CapExceeded("product degree %d exceeds %d" % (degree, degree_cap))
+    _check_degree("product", degree, degree_cap)
     gens = []
     offset = 0
     for g in groups:
@@ -197,8 +201,7 @@ def wreath(inner, outer, degree_cap=Config.degree_cap):
         raise ValueError("wreath requires a transitive outer group")
     d, b = inner.degree, outer.degree
     degree = d * b
-    if degree > degree_cap:
-        raise CapExceeded("wreath degree %d exceeds %d" % (degree, degree_cap))
+    _check_degree("wreath", degree, degree_cap)
     gens = []
     for p in inner.generators:
         imgs = list(range(degree))

@@ -255,18 +255,22 @@ def count_generating_tuples(G, d, exhaust_cap=Config.exhaust_cap):
 
     Generation is invariant under simultaneous conjugation, so the count is
     the sum over conjugacy classes C of |C| times the number of generating
-    tuples whose first entry is C's least element.
+    tuples whose first entry is C's least element: k(G)*n^(d-1) closures of
+    at most n elements each, a work of k(G)*n^d refused past
+    `_TUPLE_WORK_CAP`.
     """
     Gi = as_indexed(G)
     n = Gi.n
     if n ** d > exhaust_cap:
         raise CapExceeded("%d^%d tuples exceed cap" % (n, d))
-    if n ** d * n > _TUPLE_WORK_CAP:
-        raise CapExceeded("%d^%d closure checks are impractical" % (n, d))
     if d == 1:
         return int(np.count_nonzero(Gi.orders() == n))
+    classes = conjugacy_classes(Gi)
+    if len(classes) * n ** d > _TUPLE_WORK_CAP:
+        raise CapExceeded("%d classes times %d^%d closure elements exceed cap %d"
+                          % (len(classes), n, d, _TUPLE_WORK_CAP))
     count = 0
-    for cls in conjugacy_classes(Gi):
+    for cls in classes:
         count += len(cls) * sum(len(subgroup_closure(Gi, (cls[0],) + rest)) == n
                                 for rest in itertools.product(range(n), repeat=d - 1))
     return count

@@ -204,32 +204,24 @@ def support(w: Word) -> tuple:
     return tuple(sorted({g for g, _ in w.syllables}))
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    totals: tuple
-
-    def __iter__(self):
-        return iter(self.totals)
-
-
-def exponent_profile(w: Word) -> ExponentProfile:
+def exponent_profile(w: Word) -> tuple:
     """Signed exponent sum per generator 1..rank."""
     totals = [0] * w.rank
     for gen, exp in w.syllables:
         totals[gen - 1] += exp
-    return ExponentProfile(tuple(totals))
+    return tuple(totals)
 
 
 def in_derived_subgroup(w: Word) -> bool:
     """True iff all signed exponent sums vanish."""
-    return all(t == 0 for t in exponent_profile(w).totals)
+    return all(t == 0 for t in exponent_profile(w))
 
 
 def neumann_exponent(w: Word) -> int:
     """gcd of the absolute signed exponent sums; 0 when the word is a product of commutators."""
     if w.is_empty():
         raise ValueError("the empty word has no exponent")
-    return math.gcd(*(abs(t) for t in exponent_profile(w).totals))
+    return math.gcd(*(abs(t) for t in exponent_profile(w)))
 
 
 def _renumber(syllables) -> Word:

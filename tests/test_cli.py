@@ -2,13 +2,16 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from anaburnside import __version__
 from anaburnside.cli import main
+from anaburnside.config import Config
 
 from groupfiles import sl25_table, write_perm_file, write_table_file
 
@@ -178,6 +181,12 @@ def test_lambda_respects_cayley_cap(capsys, tmp_path):
     assert json.loads(out)["result"]["composition_factors"] == ["Alt(6)"]
 
 
+def test_lambda_builds_psl2_37_under_degree_cap(capsys):
+    code, out, _ = run(capsys, ["lambda", "--group", "psl2(37)", "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["composition_factors"] == ["PSL(2,37)"]
+
+
 def _config_file(tmp_path, **fields):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(fields))
@@ -286,6 +295,23 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     cfg.write_text(json.dumps({"不": 1}))
     code, _, err = run(capsys, ["--config", str(cfg), "analyze", "x^2"])
     assert code == 2
+    code, _, err = run(capsys, ["--config", _config_file(tmp_path, lambda_certify_cap=5000),
+                                "analyze", "x^2"])
+    assert code == 2
+    assert "unknown config keys: lambda_certify_cap" in err
+
+
+def test_every_config_field_is_read_outside_config():
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "src", "anaburnside")
+    text = ""
+    for folder, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py") and name != "config.py":
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    text += fh.read()
+    unread = [f.name for f in fields(Config) if not re.search(r"\.%s\b" % f.name, text)]
+    assert unread == []
 
 
 def test_version_flag(capsys):

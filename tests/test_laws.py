@@ -258,8 +258,10 @@ def test_count_generating_tuples_caps():
     with pytest.raises(CapExceeded):
         count_generating_tuples(alternating(5), 2, exhaust_cap=3599)
     assert count_generating_tuples(alternating(5), 2, exhaust_cap=3600) == 2280
-    with pytest.raises(CapExceeded):
-        count_generating_tuples(alternating(6), 2)
+    # the work is k(G) * n^d: 7 * 360^2 on A6 is under the cap, 9 * 2520^2 on A7 is not
+    assert count_generating_tuples(alternating(6), 2) == 76320
+    with pytest.raises(CapExceeded, match="9 classes times 2520"):
+        count_generating_tuples(alternating(7), 2)
 
 
 def test_automorphism_counts():
@@ -295,6 +297,9 @@ def test_max_d_generated_power():
     # 2280 generating pairs / 120 automorphisms = 19 independent images.
     assert max_d_generated_power(alternating(5), 2) == 19
     assert max_d_generated_power(alternating(5), 1) == 0
+    # h_2 values from P. Hall, "The Eulerian functions of a group" (1936)
+    assert max_d_generated_power(alternating(6), 2) == 53
+    assert max_d_generated_power(psl2_group(7), 2) == 57
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -245,9 +246,30 @@ def test_degree_cap():
     with pytest.raises(CapExceeded):
         PermGroup(65, [Permutation(range(65))])
     with pytest.raises(CapExceeded):
-        symmetric(17)
+        symmetric(65)
     with pytest.raises(CapExceeded):
         wreath(alternating(5), wreath(cyclic(2), cyclic(7)))
+
+
+def test_builders_reach_degree_cap():
+    assert alternating(17).order() == math.factorial(17) // 2
+    assert psl2_group(37).order() == 25308
+    with pytest.raises(ValueError, match="no modulus table"):
+        psl2_group(49)
+    for m in (0, -5):
+        with pytest.raises(ValueError):
+            alternating(m)
+        with pytest.raises(ValueError):
+            symmetric(m)
+
+
+@pytest.mark.parametrize("build, arg", [(alternating, 65), (symmetric, 65), (psl2_group, 64),
+                                        (psl2_group, 1_000_003)])
+def test_builders_refuse_past_degree_cap_before_building(build, arg):
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="exceeds degree_cap 64"):
+        build(arg)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_wreath_order():
