@@ -31,6 +31,12 @@ class Config:
     precision: int = 60              # working decimal digits for tower indexes
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            kinds = (int, float) if kind is float else (kind,)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"config key {f.name} must be {kind.__name__}, "
+                                 f"not {type(value).__name__}")
         if self.c < 2:
             raise ValueError("constant c must be >= 2")
         for name in ("c1", "c2", "c3", "c4", "c_lower"):

@@ -46,14 +46,19 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
            exhaust_cap=Config.exhaust_cap, cayley_cap=Config.cayley_cap):
     """Check whether a word evaluates to the identity on all assignments.
 
-    Exhaustive mode enumerates |G|^rank assignments (at most `exhaust_cap`,
-    on a group of order at most `cayley_cap` once indexed) and returns a
-    concrete witness on failure; assignments run in row-major order of the
-    element indexing. A permutation group composes its element rows
-    directly; every other substrate goes through its `products`. Sampled
-    mode is a seeded spot check.
+    Exhaustive mode indexes the group (order at most `cayley_cap`) and
+    enumerates its |G|^rank assignments (at most `exhaust_cap`) in
+    row-major order of the element indexing, in one loop that returns the
+    first failing assignment as a witness. Each distinct exponent's power
+    table is built once, over all elements. A permutation group composes
+    element rows, with no index lookup per syllable, and reports its
+    witness as permutations; every other substrate multiplies indexes
+    through its `products` and reports indexes. Sampled mode is a seeded
+    spot check of `samples` random assignments.
     """
     if mode == "sampled":
+        if samples < 1:
+            raise ValueError("samples must be positive")
         return _is_law_sampled(word, G, samples, seed)
     if mode != "exhaustive":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
@@ -62,8 +67,27 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
         raise CapExceeded("%d^%d assignments exceed cap %d" % (n, rank, exhaust_cap))
     Gi = as_indexed(G, cap=cayley_cap)
     if isinstance(Gi, PermIndexedGroup):
-        return _is_law_perm(word, Gi)
-    return _is_law_indexed(word, Gi)
+        identity = np.arange(Gi.degree, dtype=Gi.rows.dtype)
+        power = lambda e: _power_rows(Gi.rows, e)
+        step = lambda state, x: np.take_along_axis(x, state, axis=1)
+        element = Gi.perm_of
+    else:
+        identity = np.array(Gi.identity_index, dtype=np.intp)
+        power, step, element = Gi.powers, Gi.products, int
+    powers = {e: power(e) for e in {e for _, e in word.syllables}}
+    total = n ** rank
+    for start, stop in _spans(total):
+        cols = _assignment_columns(start, stop, n, rank)
+        m = stop - start
+        state = np.broadcast_to(identity, (m,) + identity.shape)
+        for v, e in word.syllables:
+            state = step(state, powers[e][cols[v - 1]])
+        bad = np.flatnonzero((state != identity).reshape(m, -1).any(axis=1))
+        if len(bad):
+            at = int(bad[0])
+            witness = tuple(element(int(cols[v][at])) for v in range(rank))
+            return LawVerdict(False, witness, "exhaustive", start + at + 1)
+    return LawVerdict(True, None, "exhaustive", total)
 
 
 def _spans(total):
@@ -84,52 +108,6 @@ def _assignment_columns(start, stop, n, rank):
         stride = n ** (rank - 1 - v)
         cols.append((idx // stride) % n)
     return cols
-
-
-def _is_law_perm(word, Gi):
-    rows = Gi.rows
-    n, deg = rows.shape
-    rank = word.rank
-    powers = {}
-    for v, e in word.syllables:
-        if (v, e) not in powers:
-            powers[(v, e)] = _power_rows(rows, e)
-    total = n ** rank
-    identity = np.arange(deg, dtype=rows.dtype)
-    for start, stop in _spans(total):
-        cols = _assignment_columns(start, stop, n, rank)
-        m = stop - start
-        state = np.broadcast_to(identity, (m, deg)).copy()
-        for v, e in word.syllables:
-            sel = powers[(v, e)][cols[v - 1]]
-            state = np.take_along_axis(sel, state, axis=1)
-        bad = np.nonzero((state != identity).any(axis=1))[0]
-        if len(bad):
-            at = int(bad[0])
-            witness = tuple(Gi.perm_of(int(cols[v][at])) for v in range(rank))
-            return LawVerdict(False, witness, "exhaustive", start + at + 1)
-    return LawVerdict(True, None, "exhaustive", total)
-
-
-def _is_law_indexed(word, Gi):
-    n = Gi.n
-    rank = word.rank
-    powers = {}
-    for v, e in word.syllables:
-        if (v, e) not in powers:
-            powers[(v, e)] = Gi.powers(e)
-    total = n ** rank
-    for start, stop in _spans(total):
-        cols = _assignment_columns(start, stop, n, rank)
-        state = np.full(stop - start, Gi.identity_index, dtype=np.intp)
-        for v, e in word.syllables:
-            state = Gi.products(state, powers[(v, e)][cols[v - 1]])
-        bad = np.nonzero(state != Gi.identity_index)[0]
-        if len(bad):
-            at = int(bad[0])
-            witness = tuple(int(cols[v][at]) for v in range(rank))
-            return LawVerdict(False, witness, "exhaustive", start + at + 1)
-    return LawVerdict(True, None, "exhaustive", total)
 
 
 def _is_law_sampled(word, G, samples, seed):
@@ -229,6 +207,8 @@ def shortest_law_search(G, max_len, num_vars, seed=Config.seed,
     """
     if num_vars < 1:
         raise ValueError("need at least one variable")
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     if num_vars > 2:
         raise CapExceeded("word enumeration is supported for 1 or 2 variables")
     checked = 0

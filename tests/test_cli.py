@@ -157,6 +157,25 @@ def test_exit_two_on_bad_group(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lawcheck", "[x,y]", "--group", "alt5", "--mode", "sampled", "--samples", "-5"],
+    ["lawcheck", "[x,y]", "--group", "alt5", "--mode", "sampled", "--samples", "0"],
+    ["shortest-law", "--group", "alt5", "--max-len", "-1"],
+    ["shortest-law", "--group", "alt5", "--max-len", "0"],
+])
+def test_exit_two_on_non_positive_count(capsys, argv):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert out == ""
+    assert "must be" in err
+
+
+def test_lawcheck_empty_word(capsys):
+    code, out, _ = run(capsys, ["lawcheck", "x x^-1", "--group", "alt5", "--json"])
+    assert code == 0
+    assert '"result":{"checked":60,"holds":true,"mode":"exhaustive","word":""}' in out
+
+
 def test_exit_three_on_cap(capsys):
     code, _, err = run(capsys, ["shortest-law", "--group", "alt5",
                                 "--max-len", "4", "--vars", "3"])
@@ -299,6 +318,17 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
                                 "analyze", "x^2"])
     assert code == 2
     assert "unknown config keys: lambda_certify_cap" in err
+
+
+@pytest.mark.parametrize("key, value", [("cayley_cap", "10"), ("c", "2"),
+                                        ("sporadic_max", 5), ("degree_cap", 10.5),
+                                        ("seed", "abc")])
+def test_config_rejects_values_of_the_wrong_type(capsys, tmp_path, key, value):
+    code, out, err = run(capsys, ["--config", _config_file(tmp_path, **{key: value}),
+                                  "analyze", "x^2", "--json"])
+    assert code == 2
+    assert out == ""
+    assert "config key %s must be" % key in err
 
 
 def test_every_config_field_is_read_outside_config():

@@ -28,7 +28,7 @@ from anaburnside.engine import (
     symmetric,
 )
 from anaburnside.engine import laws
-from anaburnside.engine.indexed import DENSE_CAP
+from anaburnside.engine.indexed import DENSE_CAP, IndexedGroup
 from anaburnside.errors import CapExceeded
 from anaburnside.words import Word, evaluate, parse_word, to_string
 
@@ -133,7 +133,8 @@ def test_spans_double_up_to_the_chunk():
 
 
 # (group, word, first failing assignment or None): failures in the first
-# span, past its boundary, in the last partial span, and a rank-3 law
+# span, past its boundary, in the last partial span, with negative
+# exponents, a rank-3 law, and a law whose variables share an exponent
 EXHAUSTIVE_CASES = [
     ("symmetric(4)", "[x,y]", 27),
     ("direct_product(alternating(5),symmetric(4))", "[x,y]", 1443),
@@ -141,7 +142,9 @@ EXHAUSTIVE_CASES = [
     ("wreath(alternating(5),cyclic(2))", "[x,y]", 7204),
     ("wreath(cyclic(7),cyclic(2))", "[x^7,y]", 4804),
     ("wreath(cyclic(5),cyclic(2))", "[x^5,y][x^5,z]", 62502),
+    ("alternating(5)", "x^-3 y^-2 x^3 y^2", 182),
     ("symmetric(3)", "[[x,y],[z,x]]", None),
+    ("alternating(5)", "x^30 y^30", None),
 ]
 
 
@@ -198,6 +201,40 @@ def test_refuted_law_builds_rows_near_its_failure(desc, text, fails_at, monkeypa
             assert sum(built) == v.checked
         else:
             assert sum(built) <= 2 * v.checked + (1 << 12)
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_empty_word_holds_on_every_element(twin):
+    G = alternating(5)
+    v = is_law(parse_word("x x^-1"), _indexed_twin(G) if twin else G)
+    assert (v.holds, v.witness, v.checked) == (True, None, 60)
+
+
+def test_power_tables_are_built_once_per_exponent(monkeypatch):
+    G = alternating(5)
+    built = []
+    power_rows, powers = laws._power_rows, IndexedGroup.powers
+
+    def counted_rows(rows, e):
+        built.append(e)
+        return power_rows(rows, e)
+
+    def counted_powers(self, e, xs=None):
+        built.append(e)
+        return powers(self, e, xs)
+
+    monkeypatch.setattr(laws, "_power_rows", counted_rows)
+    monkeypatch.setattr(IndexedGroup, "powers", counted_powers)
+    for substrate in (G, _indexed_twin(G)):
+        built.clear()
+        assert is_law(parse_word("[x,y]^60"), substrate)
+        assert sorted(built) == [-1, 1]
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_mode_rejects_non_positive_samples(samples):
+    with pytest.raises(ValueError, match="samples must be positive"):
+        is_law(parse_word("[x,y]"), alternating(5), mode="sampled", samples=samples)
 
 
 def test_is_law_exhaust_cap():
