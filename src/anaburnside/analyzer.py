@@ -14,6 +14,7 @@ from .bounds import BoundReport, main_theorem_bound
 from .catalog import factorize, is_prime_power
 from .config import Config
 from .engine import alternating, is_law, psl2_group
+from .errors import CapExceeded
 from .words import Word, neumann_exponent, parse_word, split_disjoint_commutator, to_string
 
 VERDICT_RANK = "TrivialByRank"
@@ -112,7 +113,9 @@ def _search_witnesses(w: Word, n: int, config: Config):
     Only groups whose exponent divides n are candidates. When every syllable
     exponent of w is a multiple of n, x^n implies w and the check runs on
     x^n, where a failure is a fault in `_pool_exponent`; otherwise it runs
-    on w. Candidates too big to check are noted."""
+    on w. A candidate that the builder or the check refuses under a cap
+    (`degree_cap`, `cayley_cap`, `exhaust_cap`) is excluded with a note
+    quoting the refusal."""
     witnesses = []
     notes = []
     power = all(e % n == 0 for _, e in w.syllables)
@@ -122,13 +125,13 @@ def _search_witnesses(w: Word, n: int, config: Config):
         if n % exp:
             continue
         build = alternating if kind == "alternating" else psl2_group
-        G = build(arg, config.degree_cap)
-        if G.order() > config.cayley_cap or G.order() ** law.rank > config.exhaust_cap:
-            notes.append("%s %s but exceeds the exhaustive verification cap; excluded" % (
-                name, "satisfies the law" if power else "has exponent dividing %d" % n))
+        try:
+            verdict = is_law(law, build(arg, config.degree_cap),
+                             exhaust_cap=config.exhaust_cap, cayley_cap=config.cayley_cap)
+        except CapExceeded as exc:
+            notes.append("%s %s but %s; excluded" % (
+                name, "satisfies the law" if power else "has exponent dividing %d" % n, exc))
             continue
-        verdict = is_law(law, G, exhaust_cap=config.exhaust_cap,
-                         cayley_cap=config.cayley_cap)
         if verdict.holds:
             witnesses.append(WitnessRecord("%s(%d)" % (kind, arg), name, exp, verdict.checked))
         elif power:

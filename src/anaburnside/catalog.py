@@ -282,21 +282,6 @@ def law_length_lower_bound(gid, c_lower: float = Config.c_lower) -> int:
     raise TypeError("not a simple group id: %r" % (gid,))
 
 
-def _max_rank_for_length(family: str, length: int, c_lower: float) -> int:
-    """Largest rank whose cheapest admissible q still meets the length filter."""
-    q_min = next(_admissible_qs(family))
-    k = _MIN_RANK[family]
-    last = k - 1
-    # a(X).low is nondecreasing in k for every classical family, so stop at
-    # the first rank that fails; cap the scan defensively.
-    while k <= 2 * max(length, 2).bit_length() + 8:
-        if law_length_lower_bound(LieId(family, k, q_min), c_lower) > length:
-            break
-        last = k
-        k += 1
-    return last
-
-
 def candidates_for_law_length(length: int, c_lower: float = Config.c_lower) -> list:
     """Simple groups not excluded by the law-length lower bounds.
 
@@ -315,18 +300,23 @@ def candidates_for_law_length(length: int, c_lower: float = Config.c_lower) -> l
         out.append(AltId(m))
         m += 1
     # floor(c*q^a) and floor(c*sqrt(q)) never decrease as q grows, so each
-    # (family, rank) walk stops at the first q whose bound exceeds the length
+    # (family, rank) walk stops at the first q whose bound exceeds the length;
+    # a(X).low never decreases as the rank grows, so a family's walk stops
+    # at the first rank whose least admissible q is already excluded
     for family in FAMILY_ORDER:
         if family in _FIXED_RANK:
             ranks = [_FIXED_RANK[family]]
         else:
-            ranks = range(_MIN_RANK[family], _max_rank_for_length(family, length, c_lower) + 1)
+            ranks = itertools.count(_MIN_RANK[family])
         for k in ranks:
+            before = len(out)
             for q in _admissible_qs(family):
                 gid = LieId(family, k, q)
                 if law_length_lower_bound(gid, c_lower) > length:
                     break
                 out.append(gid)
+            if len(out) == before:
+                break
     out.extend(SporadicId(i) for i in range(1, 27))
     return out
 

@@ -157,16 +157,14 @@ def _cmd_lawcheck(args, config):
 def _cmd_lambda(args, config):
     G = _load_group(args, config)
     # one index under the configured cap serves lambda and composition; a
-    # verified series indexes only the factors it certifies, under that cap
-    Gi = None
-    if G.order() <= config.cayley_cap:
-        Gi = as_indexed(G, cap=config.cayley_cap)
+    # verified series indexes only the factors it certifies, under that cap,
+    # and reports composition only when the whole group is under it
     if args.series:
         descriptors = [s.strip() for s in args.series.split(",")]
         report = verify_series_lambda(G, descriptors, config.cayley_cap)
-    elif Gi is None:
-        raise CapExceeded("order %d exceeds cap %d" % (G.order(), config.cayley_cap))
+        Gi = as_indexed(G, cap=config.cayley_cap) if G.order() <= config.cayley_cap else None
     else:
+        Gi = as_indexed(G, cap=config.cayley_cap)
         report = nonsolvable_length(Gi)
     result = {"value": report.value, "exact": report.exact,
               "notes": list(report.notes),

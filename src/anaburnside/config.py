@@ -37,6 +37,12 @@ class Config:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"config key {f.name} must be {kind.__name__}, "
                                  f"not {type(value).__name__}")
+            if kind is float:
+                # one configuration, one byte form: {"c": 4} echoes as 4.0
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ValueError(f"config key {f.name} is too large for a float") from None
         if self.c < 2:
             raise ValueError("constant c must be >= 2")
         for name in ("c1", "c2", "c3", "c4", "c_lower"):

@@ -231,7 +231,7 @@ class TableGroup(IndexedGroup):
         if n < 1:
             raise ValueError("empty table")
         if n > cap:
-            raise CapExceeded("order %d exceeds cap %d" % (n, cap))
+            raise CapExceeded("order %d exceeds cayley_cap %d" % (n, cap))
         arr = np.asarray(table, dtype=np.int64)
         if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
             raise ValueError("table must be n x n with entries in 0..n-1")
@@ -281,7 +281,7 @@ class CyclicGroup(IndexedGroup):
         if n < 1:
             raise ValueError("order must be at least 1")
         if n > cap:
-            raise CapExceeded("order %d exceeds cap %d" % (n, cap))
+            raise CapExceeded("order %d exceeds cayley_cap %d" % (n, cap))
         self.n = n
         self.generator_indices = (1,) if n > 1 else ()
 
@@ -296,15 +296,13 @@ class PermIndexedGroup(IndexedGroup):
     """The rows of `PermGroup.element_rows`, indexed in their lexicographic
     order. `row_keys` gives each row one order-preserving key: its images
     packed into a `uint64`, or its bytes when they do not fit in 64 bits. A
-    lookup is one `searchsorted` of those keys."""
+    lookup is one `searchsorted` of those keys. `as_indexed` checks the
+    order against `cayley_cap` before building one."""
 
-    def __init__(self, group, cap=Config.cayley_cap):
-        n = group.order()
-        if n > cap:
-            raise CapExceeded("order %d exceeds cap %d" % (n, cap))
-        self.n = n
+    def __init__(self, group):
+        self.n = group.order()
         self.degree = group.degree
-        self.rows = group.element_rows(cap=n)
+        self.rows = group.element_rows()
         self._weights = key_weights(self.degree)
         self._sorted_keys = row_keys(self.rows, self._weights)
         if not (self._sorted_keys[1:] > self._sorted_keys[:-1]).all():
@@ -442,7 +440,8 @@ class PairGroup(IndexedGroup):
     def __init__(self, left, right, action=None):
         self.n = left.n * right.n
         if self.n > Config.cayley_cap:
-            raise CapExceeded("product order %d exceeds cap %d" % (self.n, Config.cayley_cap))
+            raise CapExceeded("product order %d exceeds cayley_cap %d"
+                              % (self.n, Config.cayley_cap))
         self.left, self.right = left, right
         self.action = action
         self.identity_index = right.identity_index * left.n + left.identity_index
@@ -494,13 +493,17 @@ class PairGroup(IndexedGroup):
 
 def as_indexed(group, cap=Config.cayley_cap):
     """Present a group handle with integer element indexes. A `PermGroup`
-    is indexed once and keeps its index; a `cap` below its order still
-    raises CapExceeded, from `PermIndexedGroup`."""
+    of order past `cap` raises CapExceeded before any indexing, whether or
+    not it has its index already; otherwise it is indexed once and keeps
+    its index. This is the only `cayley_cap` check on a `PermGroup`."""
     if isinstance(group, IndexedGroup):
         return group
     if isinstance(group, PermGroup):
-        if group._indexed is None or group._indexed.n > cap:
-            group._indexed = PermIndexedGroup(group, cap=cap)
+        n = group.order()
+        if n > cap:
+            raise CapExceeded("order %d exceeds cayley_cap %d" % (n, cap))
+        if group._indexed is None:
+            group._indexed = PermIndexedGroup(group)
         return group._indexed
     raise TypeError("cannot index %r" % type(group).__name__)
 

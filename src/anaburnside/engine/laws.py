@@ -64,7 +64,7 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     rank, n = word.rank, G.order()
     if n ** rank > exhaust_cap:
-        raise CapExceeded("%d^%d assignments exceed cap %d" % (n, rank, exhaust_cap))
+        raise CapExceeded("%d^%d assignments exceed exhaust_cap %d" % (n, rank, exhaust_cap))
     Gi = as_indexed(G, cap=cayley_cap)
     if isinstance(Gi, PermIndexedGroup):
         identity = np.arange(Gi.degree, dtype=Gi.rows.dtype)
@@ -124,9 +124,6 @@ def _is_law_sampled(word, G, samples, seed):
 
 def group_exponent(G, cap=Config.cayley_cap):
     """Least common multiple of all element orders, by full enumeration."""
-    n = G.order()
-    if n > cap:
-        raise CapExceeded("order %d exceeds exponent enumeration cap %d" % (n, cap))
     return math.lcm(*set(as_indexed(G, cap=cap).orders().tolist()))
 
 
@@ -184,16 +181,7 @@ def _cyclic_words(length, num_vars):
 
 
 def _word_from_letters(letters, num_vars):
-    syllables = []
-    for letter in letters:
-        var = (letter >> 1) + 1
-        e = -1 if letter & 1 else 1
-        if syllables and syllables[-1][0] == var:
-            syllables[-1] = (var, syllables[-1][1] + e)
-        else:
-            syllables.append((var, e))
-    syllables = [(v, e) for v, e in syllables if e]
-    return Word.make(tuple(syllables), rank=num_vars)
+    return Word.make([((l >> 1) + 1, -1 if l & 1 else 1) for l in letters], rank=num_vars)
 
 
 def shortest_law_search(G, max_len, num_vars, seed=Config.seed,
@@ -242,7 +230,7 @@ def count_generating_tuples(G, d, exhaust_cap=Config.exhaust_cap):
     Gi = as_indexed(G)
     n = Gi.n
     if n ** d > exhaust_cap:
-        raise CapExceeded("%d^%d tuples exceed cap" % (n, d))
+        raise CapExceeded("%d^%d tuples exceed exhaust_cap %d" % (n, d, exhaust_cap))
     if d == 1:
         return int(np.count_nonzero(Gi.orders() == n))
     classes = conjugacy_classes(Gi)

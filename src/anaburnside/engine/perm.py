@@ -170,7 +170,7 @@ class PermGroup:
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if degree > degree_cap:
-            raise CapExceeded("degree %d exceeds cap %d" % (degree, degree_cap))
+            raise CapExceeded("degree %d exceeds degree_cap %d" % (degree, degree_cap))
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         for g in gens:
             if g.degree != degree:
@@ -299,7 +299,7 @@ class PermGroup:
 
     # -- element access --
 
-    def element_rows(self, cap=Config.cayley_cap):
+    def element_rows(self):
         """Every element's image row, in lexicographic order (identity first).
 
         Each element is u_last * ... * u_1 * u_0, one coset representative
@@ -307,11 +307,10 @@ class PermGroup:
         u[r]), so one gather per level lists every element once, and
         `np.lexsort` over the columns sorts them. Images are int8, or big
         endian int16 past degree 127, so sorting the rows' bytes would give
-        the same order (see `row_keys`).
+        the same order (see `row_keys`). Its callers check the order
+        against `cayley_cap` first (`as_indexed`, `elements`).
         """
         n = self.order()
-        if n > cap:
-            raise CapExceeded("order %d exceeds enumeration cap %d" % (n, cap))
         deg = self.degree
         dtype = np.dtype(np.int8 if deg <= 127 else ">i2")
         rows = np.arange(deg).astype(dtype)[None, :]
@@ -326,7 +325,10 @@ class PermGroup:
         return rows
 
     def elements(self, cap=Config.cayley_cap):
-        return [Permutation(row) for row in self.element_rows(cap).tolist()]
+        n = self.order()
+        if n > cap:
+            raise CapExceeded("order %d exceeds cayley_cap %d" % (n, cap))
+        return [Permutation(row) for row in self.element_rows().tolist()]
 
     def random_element(self, rng=None):
         """Uniform sample: one transversal representative per level."""

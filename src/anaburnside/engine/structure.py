@@ -170,15 +170,13 @@ def _find_minimal_normals(G):
             minimal.append((S, gens))
     if not minimal:
         minimal = [(np.ones(G.n, dtype=bool), tuple(G.generator_indices))]
-    out = []
-    seen = set()
-    for S, gens in sorted(minimal, key=lambda p: (_size(p[0]), np.flatnonzero(p[0]).tolist())):
-        key = np.packbits(S).tobytes()
-        if key not in seen:
-            seen.add(key)
-            S.flags.writeable = False
-            out.append((S, gens))
-    return tuple(out)
+    # the closures are distinct: a representative inside an earlier closure
+    # S is capped at half of S, and one outside every earlier closure lies
+    # in its own
+    minimal.sort(key=lambda p: (_size(p[0]), np.flatnonzero(p[0]).tolist()))
+    for S, _ in minimal:
+        S.flags.writeable = False
+    return tuple(minimal)
 
 
 def minimal_normal_subgroups(G):

@@ -98,6 +98,14 @@ def test_witnesses_under_small_cayley_cap():
     assert [w.name for w in r.witnesses] == ["Alt(5)", "PSL(2,4)", "PSL(2,5)"]
 
 
+def test_pool_notes_quote_the_cap_that_excluded_a_candidate():
+    r = classify(parse_word("x^60"), d=2, config=Config(exhaust_cap=100))
+    assert [w.name for w in r.witnesses] == ["Alt(5)", "PSL(2,4)", "PSL(2,5)"]
+    assert r.notes[:2] == (
+        "Alt(6) satisfies the law but 360^1 assignments exceed exhaust_cap 100; excluded",
+        "PSL(2,9) satisfies the law but 360^1 assignments exceed exhaust_cap 100; excluded")
+
+
 def test_exponent_with_three_primes_but_no_witness():
     # 2*3*7 = 42 is even with three primes, yet no pool group has exponent
     # dividing 42, so the procedure reports Unknown rather than guessing.

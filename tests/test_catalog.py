@@ -215,6 +215,19 @@ def test_candidates_match_full_scan():
             assert candidates_for_law_length(length, c_lower) == want[length], (length, c_lower)
 
 
+def test_candidates_walk_every_rank_under_a_small_constant():
+    # under c_lower = 0.01, A_13(2) to A_16(2) have bounds 1, 1, 2 and 2, so a
+    # law of length 2 excludes none of them; A_17(2) has bound 5
+    got = candidates_for_law_length(2, 0.01)
+    assert [law_length_lower_bound(LieId("A", k, 2), 0.01) for k in range(13, 18)] == [
+        1, 1, 2, 2, 5]
+    assert max(g.k for g in got if isinstance(g, LieId) and g.family == "A") == 16
+    # the scan's alternating range is too short for this constant: Alt(m)
+    # stays up to m = 299, where floor(0.01*m) = 2
+    lie = [g for g in _candidates_by_full_scan([2], 0.01)[2] if isinstance(g, LieId)]
+    assert got == [AltId(m) for m in range(5, 300)] + lie + [SporadicId(i) for i in range(1, 27)]
+
+
 def test_candidates_keep_suzuki_groups_at_the_length():
     # floor(sqrt(8)) = 2: a law of length 2 does not exclude 2B2(8)
     assert LieId("2B2", 2, 8) in candidates_for_law_length(2)

@@ -186,6 +186,40 @@ def test_exit_three_on_cap(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fields, argv, cap", [
+    ({"cayley_cap": 1000}, ["lawcheck", "x^420", "--group", "alt7"], "cayley_cap 1000"),
+    ({"cayley_cap": 1000}, ["lambda", "--group", "alt7"], "cayley_cap 1000"),
+    ({"cayley_cap": 1000}, ["lambda", "--group", "alt7", "--series", "trivial,full"],
+     "cayley_cap 1000"),
+    ({}, ["lawcheck", "[[x,y],z]", "--group", "alt7"], "exhaust_cap 100000000"),
+    ({"degree_cap": 8}, ["lambda", "--group", "alt9"], "degree_cap 8"),
+    ({"degree_cap": 8}, ["lambda", "--group-file", "<degree 9 file>"], "degree_cap 8"),
+    ({}, ["lambda", "--group", "cyclic(100001)"], "cayley_cap 100000"),
+], ids=["lawcheck", "lambda", "lambda-series", "lawcheck-rank3", "builder",
+        "degree-9-file", "cyclic"])
+def test_exit_three_names_the_config_key(capsys, tmp_path, fields, argv, cap):
+    if "<degree 9 file>" in argv:
+        path = str(tmp_path / "c9.json")
+        write_perm_file(path, 9, [[2, 3, 4, 5, 6, 7, 8, 9, 1]])
+        argv = [path if a == "<degree 9 file>" else a for a in argv]
+    code, out, err = run(capsys, ["--config", _config_file(tmp_path, **fields)] + argv)
+    assert code == 3
+    assert out == ""
+    assert cap in err
+
+
+def test_analyze_excludes_a_pool_group_past_degree_cap(capsys, tmp_path):
+    code, out, _ = run(capsys, ["--config", _config_file(tmp_path, degree_cap=8),
+                                "analyze", "x^420", "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "NontrivialWitness"
+    assert [w["name"] for w in result["witnesses"]] == [
+        "Alt(5)", "Alt(6)", "Alt(7)", "Alt(8)", "PSL(2,4)", "PSL(2,5)", "PSL(2,7)"]
+    assert [n for n in result["notes"] if "PSL(2,9)" in n] == [
+        "PSL(2,9) satisfies the law but psl2 degree 10 exceeds degree_cap 8; excluded"]
+
+
 def test_lambda_respects_cayley_cap(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cayley_cap": 1000}))
@@ -298,6 +332,22 @@ def test_config_file_option(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["config"]["c"] == 4.0
+
+
+def test_config_echoes_a_float_field_as_a_float(capsys, tmp_path):
+    outs = []
+    for value in (4, 4.0):
+        code, out, _ = run(capsys, ["--config", _config_file(tmp_path, c=value),
+                                    "bound", "x^30", "--d", "2", "--json"])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert '"c":4.0' in outs[0]
+    code, out, err = run(capsys, ["--config", _config_file(tmp_path, c=10 ** 400),
+                                  "bound", "x^30", "--json"])
+    assert code == 2
+    assert out == ""
+    assert "config key c " in err
 
 
 def test_config_env_var(capsys, tmp_path, monkeypatch):

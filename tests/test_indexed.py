@@ -102,7 +102,7 @@ def test_a_perm_group_is_indexed_once():
     group = alternating(5)
     g = as_indexed(group)
     assert as_indexed(group) is g and as_indexed(group, cap=60) is g
-    with pytest.raises(CapExceeded, match="order 60 exceeds cap 59"):
+    with pytest.raises(CapExceeded, match="order 60 exceeds cayley_cap 59"):
         as_indexed(group, cap=59)
     assert as_indexed(group) is g
     # a group not yet indexed refuses a small cap too, and keeps no index
@@ -258,7 +258,7 @@ def test_cyclic_above_the_degree_cap_allocates_no_table():
     assert isinstance(g, CyclicGroup) and g.order() == 20000
     assert g.generator_indices == (1,) and g.identity_index == 0
     assert peak < 5_000_000
-    with pytest.raises(CapExceeded, match="order 100001 exceeds cap 100000"):
+    with pytest.raises(CapExceeded, match="order 100001 exceeds cayley_cap 100000"):
         make_group("cyclic(100001)")
 
 

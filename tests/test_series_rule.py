@@ -64,7 +64,7 @@ def test_diagonal_group_is_checked_whole_under_the_cap():
     rep = verify_series_lambda(G, ["trivial", "full"])
     assert rep.value == 1
     assert [(f.kind, f.order) for f in rep.factors] == [("semisimple", 60)]
-    with pytest.raises(CapExceeded, match="order 60 exceeds cap 50"):
+    with pytest.raises(CapExceeded, match="order 60 exceeds cayley_cap 50"):
         verify_series_lambda(G, ["trivial", "full"], cayley_cap=50)
 
 
