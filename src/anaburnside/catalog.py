@@ -321,22 +321,6 @@ def candidates_for_law_length(length: int, c_lower: float = Config.c_lower) -> l
     return out
 
 
-def _id_row(gid, c_lower: float) -> dict:
-    row = {"family": None, "k": None, "q": None, "a_low": None, "a_high": None, "b": None}
-    if isinstance(gid, AltId):
-        row.update(family="Alt", k=gid.m)
-    elif isinstance(gid, LieId):
-        a = a_value(gid.family, gid.k)
-        row.update(
-            family=gid.family, k=gid.k, q=gid.q,
-            a_low=a.low, a_high=a.high, b=b_value(gid.family, gid.k),
-        )
-    else:
-        row.update(family="Sporadic", k=gid.index)
-    row["bound"] = law_length_lower_bound(gid, c_lower)
-    return row
-
-
 def catalog_table_rows(max_rank: int = 10) -> list:
     """One row per family and applicable rank: the two tables, merged."""
     rows = []
@@ -358,7 +342,3 @@ def catalog_table_rows(max_rank: int = 10) -> list:
 def catalog_table_json(max_rank: int = 10) -> str:
     return json.dumps(catalog_table_rows(max_rank), sort_keys=True, separators=(",", ":"))
 
-
-def candidates_json(length: int, c_lower: float = Config.c_lower) -> str:
-    rows = [_id_row(g, c_lower) for g in candidates_for_law_length(length, c_lower)]
-    return json.dumps(rows, sort_keys=True, separators=(",", ":"))

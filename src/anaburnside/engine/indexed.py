@@ -25,11 +25,10 @@ once per group:
   on it by `engine.structure`
 """
 
-import numpy as np
-
 from ..config import Config
 from ..errors import CapExceeded
 from ..words import times_power
+from . import _numpy as np
 from .perm import Permutation, PermGroup, invert_rows, key_weights, row_keys
 
 DENSE_CAP = 2048
@@ -418,13 +417,6 @@ class QuotientGroup(IndexedGroup):
 
     def _compute_inverses(self):
         return self.labels[self.parent.inverses()[self.reps]]
-
-    def coset_of(self, parent_index):
-        return int(self.labels[parent_index])
-
-    def preimage(self, coset_ids):
-        wanted = np.fromiter(coset_ids, dtype=np.intp)
-        return frozenset(np.flatnonzero(np.isin(self.labels, wanted)).tolist())
 
 
 class PairGroup(IndexedGroup):

@@ -5,11 +5,10 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import Config
 from ..errors import CapExceeded
 from ..words import Word, evaluate, times_power
+from . import _numpy as np
 from .indexed import PermIndexedGroup, as_indexed
 from .perm import PermGroup, invert_rows
 from .structure import conjugacy_classes, is_simple, subgroup_closure
@@ -50,11 +49,13 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
     enumerates its |G|^rank assignments (at most `exhaust_cap`) in
     row-major order of the element indexing, in one loop that returns the
     first failing assignment as a witness. Each distinct exponent's power
-    table is built once, over all elements. A permutation group composes
-    element rows, with no index lookup per syllable, and reports its
-    witness as permutations; every other substrate multiplies indexes
-    through its `products` and reports indexes. Sampled mode is a seeded
-    spot check of `samples` random assignments.
+    table is built once, over all elements. A word that is a power u^k of
+    a block is evaluated as u, then raised to the k-th power by squaring
+    under the same product step. A permutation group composes element
+    rows, with no index lookup per syllable, and reports its witness as
+    permutations; every other substrate multiplies indexes through its
+    `products` and reports indexes. Sampled mode is a seeded spot check of
+    `samples` random assignments.
     """
     if mode == "sampled":
         if samples < 1:
@@ -74,20 +75,31 @@ def is_law(word, G, mode="exhaustive", samples=256, seed=Config.seed,
     else:
         identity = np.array(Gi.identity_index, dtype=np.intp)
         power, step, element = Gi.powers, Gi.products, int
-    powers = {e: power(e) for e in {e for _, e in word.syllables}}
+    block, k = _root(word.syllables)
+    powers = {e: power(e) for e in {e for _, e in block}}
     total = n ** rank
     for start, stop in _spans(total):
         cols = _assignment_columns(start, stop, n, rank)
         m = stop - start
         state = np.broadcast_to(identity, (m,) + identity.shape)
-        for v, e in word.syllables:
+        for v, e in block:
             state = step(state, powers[e][cols[v - 1]])
+        state = times_power(step, state, state, k - 1)
         bad = np.flatnonzero((state != identity).reshape(m, -1).any(axis=1))
         if len(bad):
             at = int(bad[0])
             witness = tuple(element(int(cols[v][at])) for v in range(rank))
             return LawVerdict(False, witness, "exhaustive", start + at + 1)
     return LawVerdict(True, None, "exhaustive", total)
+
+
+def _root(syllables):
+    """The shortest block u and the largest k with syllables == u * k."""
+    n = len(syllables)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and syllables[p:] == syllables[:-p]:
+            return syllables[:p], n // p
+    return syllables, 1
 
 
 def _spans(total):
@@ -198,7 +210,7 @@ def shortest_law_search(G, max_len, num_vars, seed=Config.seed,
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if num_vars > 2:
-        raise CapExceeded("word enumeration is supported for 1 or 2 variables")
+        raise ValueError("word enumeration is supported for 1 or 2 variables")
     checked = 0
     for length in range(1, max_len + 1):
         for letters in _cyclic_words(length, num_vars):

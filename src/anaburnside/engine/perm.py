@@ -3,10 +3,9 @@
 import math
 import random
 
-import numpy as np
-
 from ..config import Config
 from ..errors import CapExceeded
+from . import _numpy as np
 
 
 def key_weights(degree):
@@ -114,10 +113,6 @@ class Permutation:
 
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))
-
-    def one_line(self):
-        """1-based image list, the on-disk convention."""
-        return [p + 1 for p in self.images]
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

@@ -3,10 +3,9 @@
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..catalog import AltId, admissible_q_values, exact_order, factorize, psl2
 from ..config import Config
+from . import _numpy as np
 from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
 from .perm import PermGroup
 

@@ -199,22 +199,12 @@ def word_length(w: Word) -> int:
     return sum(abs(e) for _, e in w.syllables)
 
 
-def support(w: Word) -> tuple:
-    """Sorted generator indexes that survive free reduction."""
-    return tuple(sorted({g for g, _ in w.syllables}))
-
-
 def exponent_profile(w: Word) -> tuple:
     """Signed exponent sum per generator 1..rank."""
     totals = [0] * w.rank
     for gen, exp in w.syllables:
         totals[gen - 1] += exp
     return tuple(totals)
-
-
-def in_derived_subgroup(w: Word) -> bool:
-    """True iff all signed exponent sums vanish."""
-    return all(t == 0 for t in exponent_profile(w))
 
 
 def neumann_exponent(w: Word) -> int:

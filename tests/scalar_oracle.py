@@ -389,13 +389,35 @@ class _Composition:
         return a.inverse()
 
 
+class _Definition:
+    """`words.evaluate` handle for the indexes of an indexed group, with
+    products and inverses from its definition (`mul` and `inv` above)."""
+
+    def __init__(self, G):
+        self.G = G
+
+    def identity(self):
+        return self.G.identity_index
+
+    def mul(self, a, b):
+        return mul(self.G, a, b)
+
+    def inv(self, a):
+        return inv(self.G, a)
+
+
 def is_law_exhaustive(word, group):
-    """The exhaustive law check of a permutation group as one row-major loop
-    of `words.evaluate`: assignments run over the breadth-first elements
-    sorted by their image tuples (the order `as_indexed` indexes them), and
-    the loop stops at the first one that is not the identity."""
-    elements = sorted(perm_elements(group), key=lambda p: p.images)
-    handle = _Composition(group.degree)
+    """The exhaustive law check as one row-major loop of `words.evaluate`,
+    syllable by syllable. A permutation group's assignments run over its
+    breadth-first elements sorted by their image tuples (the order
+    `as_indexed` indexes them); an indexed group's run over its indexes,
+    multiplied from its definition. The loop stops at the first assignment
+    that is not the identity."""
+    if isinstance(group, PermGroup):
+        elements = sorted(perm_elements(group), key=lambda p: p.images)
+        handle = _Composition(group.degree)
+    else:
+        elements, handle = range(group.n), _Definition(group)
     ident = handle.identity()
     for k, assignment in enumerate(itertools.product(elements, repeat=word.rank)):
         if evaluate(word, assignment, handle) != ident:

@@ -1,6 +1,5 @@
 """Catalog tables, order bounds, law-length bounds, candidate enumeration."""
 
-import json
 import math
 import os
 from fractions import Fraction
@@ -19,7 +18,6 @@ from anaburnside.catalog import (
     a_value,
     b_value,
     candidates_for_law_length,
-    candidates_json,
     catalog_table_json,
     catalog_table_rows,
     exact_order,
@@ -283,16 +281,6 @@ def test_catalog_json_byte_stable():
         frozen = fh.read()
     assert catalog_table_json().encode() == frozen
     assert catalog_table_json() == catalog_table_json()
-
-
-def test_candidates_json_schema():
-    rows = json.loads(candidates_json(6))
-    assert rows
-    for row in rows:
-        assert set(row) == {"family", "k", "q", "a_low", "a_high", "b", "bound"}
-    alt_rows = [r for r in rows if r["family"] == "Alt"]
-    assert [r["k"] for r in alt_rows] == [5, 6]
-    assert all(r["bound"] == r["k"] for r in alt_rows)
 
 
 def test_alt_order_uses_factorial():

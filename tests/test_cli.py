@@ -176,11 +176,15 @@ def test_lawcheck_empty_word(capsys):
     assert '"result":{"checked":60,"holds":true,"mode":"exhaustive","word":""}' in out
 
 
+def test_exit_two_on_unsupported_variable_count(capsys):
+    code, out, err = run(capsys, ["shortest-law", "--group", "alt5",
+                                  "--max-len", "4", "--vars", "3"])
+    assert code == 2
+    assert out == ""
+    assert "1 or 2 variables" in err
+
+
 def test_exit_three_on_cap(capsys):
-    code, _, err = run(capsys, ["shortest-law", "--group", "alt5",
-                                "--max-len", "4", "--vars", "3"])
-    assert code == 3
-    assert "cap" in err.lower()
     code, _, err = run(capsys, ["lawcheck", "[[x,y],[z,w]]", "--group",
                                 "alt6"])
     assert code == 3
@@ -315,13 +319,37 @@ def test_group_builders_read_degree_cap(capsys, tmp_path, group):
     assert "exceeds" in err and " 8" in err
 
 
-def test_cli_import_does_not_load_sympy():
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's src/."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
+    env.pop("BURNSIDE_CONFIG", None)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_cli_import_does_not_load_sympy():
     subprocess.run([sys.executable, "-c",
                     "import anaburnside.cli, sys; assert 'sympy' not in sys.modules"],
-                   env=env, check=True, timeout=120)
+                   env=_child_env(), check=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["bound", "x^30"], False),
+    (["catalog", "--length", "30"], False),
+    (["analyze", "x^7"], False),
+    (["analyze", "x^30"], True),
+])
+def test_numpy_is_imported_on_the_first_array_operation(argv, loads):
+    script = ("import sys\n"
+              "import anaburnside.cli as cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print('numpy' in sys.modules, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", script] + argv + ["--json"],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr.split() == [str(loads)]
 
 
 def test_config_file_option(capsys, tmp_path):

@@ -135,8 +135,6 @@ def test_quotient_group():
     assert q.order() == 6
     orders = sorted(q.order_of(i) for i in range(q.n))
     assert orders == [1, 2, 2, 2, 3, 3]
-    assert q.coset_of(gi.identity_index) == q.identity_index
-    assert len(q.preimage([q.identity_index])) == 4
 
 
 def test_quotient_rejects_non_normal():

@@ -152,8 +152,6 @@ def test_quotient_labels_match_scalar(name, data):
     labels, reps = oracle.coset_labels(G, normal)
     Q = QuotientGroup(G, normal)
     assert Q.labels.tolist() == labels and Q.reps.tolist() == reps
-    ids = data.draw(st.sets(st.integers(0, Q.n - 1)))
-    assert Q.preimage(ids) == {i for i in range(G.n) if labels[i] in ids}
 
 
 @FAST

@@ -32,7 +32,7 @@ from anaburnside.engine.indexed import DENSE_CAP, IndexedGroup
 from anaburnside.errors import CapExceeded
 from anaburnside.words import Word, evaluate, parse_word, to_string
 
-from groupfiles import sl25_group
+from groupfiles import sl25_group, substrate
 
 
 def test_group_exponent_oracles():
@@ -231,6 +231,66 @@ def test_power_tables_are_built_once_per_exponent(monkeypatch):
         assert sorted(built) == [-1, 1]
 
 
+@pytest.mark.parametrize("text, block, k", [
+    ("x^6", ((1, 6),), 1),
+    ("x y x^-1", ((1, 1), (2, 1), (1, -1)), 1),
+    ("(x y)^2 x", ((1, 1), (2, 1), (1, 1), (2, 1), (1, 1)), 1),
+    ("(x y)^6", ((1, 1), (2, 1)), 6),
+    ("((x y)^2)^3", ((1, 1), (2, 1)), 6),
+    ("(x^2 y)^4", ((1, 2), (2, 1)), 4),
+    ("(x y x y^-1)^2", ((1, 1), (2, 1), (1, 1), (2, -1)), 2),
+    ("[x,y]^60", ((1, -1), (2, -1), (1, 1), (2, 1)), 60),
+])
+def test_root_is_the_shortest_block(text, block, k):
+    assert laws._root(parse_word(text).syllables) == (block, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_substrate(name):
+    """S4 as permutations and as its Cayley table, and three indexed
+    substrates from groupfiles: a relabelled table, S4/V4 and A4 in S4."""
+    if name == "perm_s4":
+        return symmetric(4)
+    if name == "table_s4":
+        return densify(symmetric(4))
+    return substrate(name)
+
+
+POWER_SUBSTRATES = ["perm_s4", "table_s4", "table_s4_relabelled", "quotient_s4_v4",
+                    "view_a4_in_s4"]
+# on S4, [x,y]^6, (x y)^12 and (x^2 y)^12 hold and the others fail
+POWER_LAWS = ["[x,y]^2", "[x,y]^3", "[x,y]^6", "(x y)^3", "(x y)^6", "(x y)^12",
+              "(x^2 y)^4", "(x^2 y)^12", "(x y x y^-1)^2"]
+
+
+def _agrees_with_scalar_loop(w, G):
+    got, want = is_law(w, G), scalar_oracle.is_law_exhaustive(w, G)
+    assert (got.holds, got.witness, got.checked) == (want.holds, want.witness, want.checked)
+    return got.holds
+
+
+@pytest.mark.parametrize("name", POWER_SUBSTRATES)
+def test_powers_of_blocks_match_scalar_loop(name):
+    G = _power_substrate(name)
+    held = [_agrees_with_scalar_loop(parse_word(text), G) for text in POWER_LAWS]
+    if name in ("perm_s4", "table_s4"):
+        assert held == [False, False, True, False, False, True, False, True, False]
+
+
+@st.composite
+def _block_powers(draw):
+    rank = draw(st.integers(1, 2))
+    block = draw(st.lists(st.tuples(st.integers(1, rank), st.sampled_from([1, -1, 2, -2, 3])),
+                          min_size=1, max_size=4))
+    return Word.make(tuple(block) * draw(st.integers(1, 12)), rank=rank)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(POWER_SUBSTRATES), _block_powers())
+def test_random_block_powers_match_scalar_loop(name, w):
+    _agrees_with_scalar_loop(w, _power_substrate(name))
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_sampled_mode_rejects_non_positive_samples(samples):
     with pytest.raises(ValueError, match="samples must be positive"):
@@ -271,7 +331,7 @@ def test_shortest_law_alt5_two_variables_none_short():
 
 
 def test_shortest_law_rejects_many_vars():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ValueError, match="1 or 2 variables"):
         shortest_law_search(cyclic(2), max_len=4, num_vars=3)
 
 

@@ -36,7 +36,6 @@ def test_permutation_basics():
     assert p.order() == 3
     assert q.order() == 2
     assert (p * q).order() == 4
-    assert p.one_line() == [2, 3, 1, 4]
 
 
 def test_permutation_rejects_non_bijection():

@@ -14,11 +14,9 @@ from anaburnside.words import (
     Word,
     evaluate,
     exponent_profile,
-    in_derived_subgroup,
     neumann_exponent,
     parse_word,
     split_disjoint_commutator,
-    support,
     to_string,
     word_length,
 )
@@ -116,16 +114,6 @@ def test_neumann_exponent():
         neumann_exponent(parse_word("x x^-1"))
 
 
-def test_in_derived_subgroup():
-    assert in_derived_subgroup(parse_word("[x,y]"))
-    assert not in_derived_subgroup(parse_word("x^30"))
-    assert in_derived_subgroup(parse_word("[x^5,y] [y,x^5]"))
-    assert parse_word("[x^5,y] [y,x^5]").is_empty()
-    for text in ["x^30", "[x,y]", "x^2 [x,y]", "[x^5,y] [x,y]"]:
-        w = parse_word(text)
-        assert in_derived_subgroup(w) == (neumann_exponent(w) == 0)
-
-
 def test_split_disjoint_commutator():
     got = split_disjoint_commutator(parse_word("[x^30, y]"))
     assert got == (parse_word("x^30"), parse_word("x", rank_hint=1))
@@ -201,11 +189,6 @@ def test_split_of_a_long_commutator_is_linear():
     assert time.perf_counter() - start < 2
     assert a == parse_word("(x y)^50000") and b == parse_word("(x y)^30000")
     assert (len(a.syllables), len(b.syllables)) == (100_000, 60_000)
-
-
-def test_support():
-    assert support(parse_word("[x^5,y] z")) == (1, 2, 3)
-    assert support(parse_word("x y x^-1 y^-1 y x y^-1 x^-1 y")) == (2,)
 
 
 class _Sym5:
