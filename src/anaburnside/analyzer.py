@@ -7,13 +7,12 @@ simple witness group satisfying the word. Disjoint commutators are
 handled through the subdirect-product embedding of the two factors.
 """
 
-import math
 from dataclasses import dataclass
 
 from .bounds import BoundReport, main_theorem_bound
-from .catalog import factorize, is_prime_power
+from .catalog import factorize, witness_pool
 from .config import Config
-from .engine import alternating, is_law, psl2_group
+from .engine import is_law, make_group
 from .errors import CapExceeded
 from .words import Word, neumann_exponent, parse_word, split_disjoint_commutator, to_string
 
@@ -23,10 +22,6 @@ VERDICT_BURNSIDE = "TrivialByBurnside"
 VERDICT_WITNESS = "NontrivialWitness"
 VERDICT_TRIVIAL_FACTORS = "TrivialByFactors"
 VERDICT_UNKNOWN = "Unknown"
-
-# desk-realizable witness pool, in report order
-_POOL = tuple([("alternating", m, "Alt(%d)" % m) for m in range(5, 10)]
-              + [("psl2", q, "PSL(2,%d)" % q) for q in (4, 5, 7, 8, 9, 11)])
 
 
 @dataclass(frozen=True)
@@ -84,59 +79,37 @@ class AnalysisReport:
         return out
 
 
-def _pool_exponent(kind: str, arg: int) -> int:
-    """Exponent of a pool group in closed form, without enumerating it.
-
-    Alt(m): an element's order is the lcm of its cycle lengths, and a cycle
-    of odd length is even while one of even length needs a second even
-    cycle beside it; so the exponent is the lcm of the odd prime powers
-    <= m and the largest power of 2 that is <= m - 2. PSL(2,q), q = p^f:
-    element orders divide p, (q-1)/k or (q+1)/k with k = gcd(2, q-1), and
-    each of the three is attained.
-    """
-    if kind == "alternating":
-        exp = 1
-        for r in range(3, arg + 1, 2):
-            if is_prime_power(r):
-                exp = math.lcm(exp, r)
-        two = 1
-        while 2 * two <= arg - 2:
-            two *= 2
-        return math.lcm(exp, two)
-    k = math.gcd(2, arg - 1)
-    return math.lcm(factorize(arg)[0][0], (arg - 1) // k, (arg + 1) // k)
-
-
 def _search_witnesses(w: Word, n: int, config: Config):
     """Pool groups satisfying w, each certified by an exhaustive check.
 
     Only groups whose exponent divides n are candidates. When every syllable
     exponent of w is a multiple of n, x^n implies w and the check runs on
-    x^n, where a failure is a fault in `_pool_exponent`; otherwise it runs
-    on w. A candidate that the builder or the check refuses under a cap
-    (`degree_cap`, `cayley_cap`, `exhaust_cap`) is excluded with a note
-    quoting the refusal."""
+    x^n, where a failure is a fault in the catalog's closed-form exponent;
+    otherwise it runs on w. A candidate that the builder or the check
+    refuses under a cap (`degree_cap`, `cayley_cap`, `exhaust_cap`) is
+    excluded with a note quoting the refusal."""
     witnesses = []
     notes = []
     power = all(e % n == 0 for _, e in w.syllables)
     law = Word.make(((1, n),), rank=1) if power else Word.make(w.syllables)
-    for kind, arg, name in _POOL:
-        exp = _pool_exponent(kind, arg)
-        if n % exp:
+    for group in witness_pool():
+        if n % group.exponent:
             continue
-        build = alternating if kind == "alternating" else psl2_group
         try:
-            verdict = is_law(law, build(arg, config.degree_cap),
+            verdict = is_law(law, make_group(group.descriptor, config.degree_cap,
+                                             config.cayley_cap),
                              exhaust_cap=config.exhaust_cap, cayley_cap=config.cayley_cap)
         except CapExceeded as exc:
             notes.append("%s %s but %s; excluded" % (
-                name, "satisfies the law" if power else "has exponent dividing %d" % n, exc))
+                group.name, "satisfies the law" if power else "has exponent dividing %d" % n,
+                exc))
             continue
         if verdict.holds:
-            witnesses.append(WitnessRecord("%s(%d)" % (kind, arg), name, exp, verdict.checked))
+            witnesses.append(WitnessRecord(group.descriptor, group.name, group.exponent,
+                                           verdict.checked))
         elif power:
             raise RuntimeError("exponent of %s divides %d but the law check failed"
-                               % (name, n))
+                               % (group.name, n))
     if witnesses:
         notes.append("each witness satisfies the law %s on every %s, so it is a "
                      "quotient of the variety and certifies nontriviality for d >= 2"

@@ -14,7 +14,7 @@ from mpmath import mp
 
 from .catalog import FAMILY_ORDER, admissible_q_values, b_value, family_ranks
 from .config import Config
-from .towers import (CHEAP_MAG, ONE, TowerNumber, _add_t, _real, big_E, cmp_t,
+from .towers import (CHEAP_MAG, ONE, TowerNumber, _real, big_E, cmp_t,
                      exp_t, from_real, get_precision, ln_t, mul_t, parse_tower,
                      pow_t, render_tower, working_precision)
 from .words import Word, word_length
@@ -251,20 +251,6 @@ def anabelian_intermediate_bound(p: BoundParams) -> TowerNumber:
     with working_precision(p.config.precision):
         x = _scale_part(p, p.d)
         return big_E(2 * p.k, from_real(x + mp.ln(mp.ln(2 * x * x))))
-
-
-def schreier_generator_bound(d: int, index: TowerNumber,
-                             simplified: bool = False) -> TowerNumber:
-    """Generators needed for a subgroup of given index in a d-generated
-    group: (d-1)*index + 1 by Schreier's theorem; optionally the d*index
-    simplification."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if simplified:
-        return mul_t(from_real(d), index)
-    if d == 1:
-        return ONE
-    return _add_t(mul_t(from_real(d - 1), index), ONE)
 
 
 @dataclass(frozen=True)

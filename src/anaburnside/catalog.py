@@ -1,13 +1,16 @@
 """Finite simple group catalog: CFSG families, exponent tables, candidate enumeration.
 
 Encodes the sixteen Lie-type families with their a(X) and b(X) exponents,
-alternating and sporadic groups, order bounds, and the law-length lower
-bounds (Bradford-Thom type) used to enumerate which simple groups can
-satisfy a law of a given length.
+alternating and sporadic groups, the law-length lower bounds (Bradford-Thom
+type) used to enumerate which simple groups can satisfy a law of a given
+length, and the one table of the simple groups the tool knows by name:
+their exact orders, exponents and builders, from which the analyzer draws
+its witness pool.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .config import Config
-from .towers import TowerNumber, get_precision, parse_tower, tower
+from .towers import get_precision
 
 # Family order follows the classification list: classical, then exceptional.
 FAMILY_ORDER = (
@@ -241,20 +244,6 @@ def b_value(family: str, k: int | None = None) -> int:
     raise ValueError("unknown family %r" % family)
 
 
-def order_upper_bound(gid, sporadic_max: str = Config.sporadic_max) -> TowerNumber:
-    """q^b for Lie type, m!/2 for alternating, one configured cap for sporadics."""
-    if isinstance(gid, AltId):
-        with mp.workdps(get_precision()):
-            return tower(0, mp.factorial(gid.m) / 2)
-    if isinstance(gid, LieId):
-        b = b_value(gid.family, gid.k)
-        with mp.workdps(get_precision()):
-            return tower(0, mp.mpf(gid.q) ** b)
-    if isinstance(gid, SporadicId):
-        return parse_tower(sporadic_max)
-    raise TypeError("not a simple group id: %r" % (gid,))
-
-
 def exact_order(gid):
     """Exact order where safely derivable: Alt(m <= 20) and PSL(2,q); else None."""
     if isinstance(gid, AltId) and gid.m <= 20:
@@ -263,6 +252,80 @@ def exact_order(gid):
         q = gid.q
         return q * (q * q - 1) // math.gcd(2, q - 1)
     return None
+
+
+def _alternating_exponent(m: int) -> int:
+    """Exponent of Alt(m) in closed form, without enumerating it.
+
+    An element's order is the lcm of its cycle lengths, and a cycle of odd
+    length is even while one of even length needs a second even cycle
+    beside it; so the exponent is the lcm of the odd prime powers <= m and
+    the largest power of 2 that is <= m - 2.
+    """
+    exp = 1
+    for r in range(3, m + 1, 2):
+        if is_prime_power(r):
+            exp = math.lcm(exp, r)
+    two = 1
+    while 2 * two <= m - 2:
+        two *= 2
+    return math.lcm(exp, two)
+
+
+@dataclass(frozen=True)
+class KnownGroup:
+    """A simple group the tool knows: its printed name, exact order,
+    exponent and `make_group` descriptor. M11 and M12 are known by name and
+    order only, with no builder, so their last two fields are None."""
+
+    name: str
+    order: int
+    exponent: int | None = None
+    descriptor: str | None = None
+
+
+@functools.cache
+def known_groups() -> dict:
+    """The simple groups the tool knows, keyed by id, in naming precedence:
+    Alt(m) for 5 <= m <= 20, then M11 and M12, then PSL(2,q) for
+    4 <= q <= 1023. Built on first use."""
+    table = {}
+    for m in range(5, 21):
+        gid = AltId(m)
+        table[gid] = KnownGroup(str(gid), exact_order(gid), _alternating_exponent(m),
+                                "alternating(%d)" % m)
+    for index, order in ((1, 7920), (2, 95040)):
+        gid = SporadicId(index)
+        table[gid] = KnownGroup(gid.name, order)
+    for q in admissible_q_values("A", 1023):
+        if q >= 4:
+            # PSL(2,q), q = p^f: element orders divide p, (q-1)/k or (q+1)/k
+            # with k = gcd(2, q-1), and each of the three is attained
+            k = math.gcd(2, q - 1)
+            exp = math.lcm(factorize(q)[0][0], (q - 1) // k, (q + 1) // k)
+            gid = psl2(q)
+            table[gid] = KnownGroup("PSL(2,%d)" % q, exact_order(gid), exp, "psl2(%d)" % q)
+    return table
+
+
+@functools.cache
+def witness_pool() -> tuple:
+    """The entries the analyzer builds and tries as witnesses, in report
+    order: Alt(5) to Alt(9), then PSL(2,q) for q = 4, 5, 7, 8, 9, 11."""
+    table = known_groups()
+    return tuple(table[gid] for gid in [*map(AltId, range(5, 10)),
+                                        *map(psl2, (4, 5, 7, 8, 9, 11))])
+
+
+def simple_name(order: int) -> str:
+    """Name a nonabelian simple group by its order: the first known group
+    of that order, or both groups of order 20160."""
+    if order == 20160:
+        return "Alt(8) or PSL(3,4)"
+    for group in known_groups().values():
+        if group.order == order:
+            return group.name
+    return "simple of order %d" % order
 
 
 def law_length_lower_bound(gid, c_lower: float = Config.c_lower) -> int:

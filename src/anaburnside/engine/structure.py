@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from ..catalog import AltId, admissible_q_values, exact_order, factorize, psl2
+from ..catalog import factorize, simple_name
 from ..config import Config
 from . import _numpy as np
 from .indexed import Closure, QuotientGroup, SubgroupView, as_indexed, least_in_orbits
@@ -248,34 +248,6 @@ def socle(G):
 
 # ---------------------------------------------------------------------------
 # composition factors
-
-_ALT_ORDERS = {exact_order(AltId(m)): "Alt(%d)" % m for m in range(5, 21)}
-
-
-def _psl2_orders():
-    out = {}
-    for q in admissible_q_values("A", 1023):
-        if q >= 4:
-            out.setdefault(exact_order(psl2(q)), "PSL(2,%d)" % q)
-    return out
-
-
-_PSL2_ORDERS = _psl2_orders()
-_SPORADIC_ORDERS = {7920: "M11", 95040: "M12"}
-
-
-def simple_name(order):
-    """Name a nonabelian simple group by order lookup against the catalog."""
-    if order == 20160:
-        return "Alt(8) or PSL(3,4)"
-    if order in _ALT_ORDERS:
-        return _ALT_ORDERS[order]
-    if order in _SPORADIC_ORDERS:
-        return _SPORADIC_ORDERS[order]
-    if order in _PSL2_ORDERS:
-        return _PSL2_ORDERS[order]
-    return "simple of order %d" % order
-
 
 @dataclass(frozen=True)
 class CompositionFactor:

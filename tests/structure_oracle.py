@@ -9,10 +9,16 @@ closures and its quotients, which have their own differential tests; what
 they check is the walk: each recursion tests solvability at every level,
 finds a quotient's minimal normal subgroups again for its socle, pulls masks
 back through nested `lift` maps, and ends on a quotient by the whole group.
+
+Per-kind order tables for naming composition factors, and the analyzer's
+witness pool as a plain list, are kept as the oracle for the catalog's one
+table of the simple groups the tool knows; the composition walk names its
+factors by them.
 """
 
 import numpy as np
 
+from anaburnside.catalog import AltId, admissible_q_values, exact_order, psl2
 from anaburnside.engine import QuotientGroup, SubgroupView, as_indexed
 from anaburnside.engine.indexed import Closure
 from anaburnside.engine.structure import (
@@ -24,7 +30,6 @@ from anaburnside.engine.structure import (
     _minimal_normals_with_gens,
     _size,
     normal_closure_indexed,
-    simple_name,
 )
 
 SEMISIMPLE_INDEX_CAP = 30_000
@@ -182,3 +187,32 @@ def certify_semisimple(group):
             return False, "an orbit restriction is not simple nonabelian"
     return True, ("orbit decomposition: %d restrictions, simple nonabelian, "
                   "orders multiply to the group order" % len(restrictions))
+
+
+ALT_ORDERS = {exact_order(AltId(m)): "Alt(%d)" % m for m in range(5, 21)}
+
+
+def _psl2_orders():
+    out = {}
+    for q in admissible_q_values("A", 1023):
+        if q >= 4:
+            out.setdefault(exact_order(psl2(q)), "PSL(2,%d)" % q)
+    return out
+
+
+PSL2_ORDERS = _psl2_orders()
+SPORADIC_ORDERS = {7920: "M11", 95040: "M12"}
+
+# (builder, argument, name) of each witness candidate, in report order
+POOL = tuple([("alternating", m, "Alt(%d)" % m) for m in range(5, 10)]
+             + [("psl2", q, "PSL(2,%d)" % q) for q in (4, 5, 7, 8, 9, 11)])
+
+
+def simple_name(order):
+    """Name of a nonabelian simple group of this order, from the order tables."""
+    if order == 20160:
+        return "Alt(8) or PSL(3,4)"
+    for table in (ALT_ORDERS, SPORADIC_ORDERS, PSL2_ORDERS):
+        if order in table:
+            return table[order]
+    return "simple of order %d" % order

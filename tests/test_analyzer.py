@@ -1,5 +1,6 @@
 """Triviality decision procedure: verdicts, witnesses, commutator splitting."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anaburnside.analyzer import (
-    _POOL,
     VERDICT_BURNSIDE,
     VERDICT_FT,
     VERDICT_TRIVIAL_FACTORS,
@@ -16,12 +16,11 @@ from anaburnside.analyzer import (
     VERDICT_WITNESS,
     analyze,
     analyze_disjoint_commutator,
-    _pool_exponent,
     classify,
 )
-from anaburnside.catalog import factorize
+from anaburnside.catalog import _alternating_exponent, factorize, witness_pool
 from anaburnside.config import Config
-from anaburnside.engine import alternating, group_exponent, is_law, make_group, psl2_group
+from anaburnside.engine import group_exponent, is_law, make_group
 from anaburnside.words import parse_word
 
 
@@ -65,10 +64,10 @@ def test_witness_verdicts():
 
 
 def test_pool_exponents_match_enumeration():
-    for kind, arg, name in _POOL:
-        G = alternating(arg) if kind == "alternating" else psl2_group(arg)
+    for group in witness_pool():
+        G = make_group(group.descriptor)
         # Alt(9) is past the default cayley_cap, so the cap is explicit
-        assert _pool_exponent(kind, arg) == group_exponent(G, cap=G.order()), name
+        assert group.exponent == group_exponent(G, cap=G.order()), group.name
 
 
 def _partitions(m, largest=None):
@@ -88,7 +87,7 @@ def test_alternating_exponent_matches_even_partition_lcm():
         for parts in _partitions(m):
             if (m - len(parts)) % 2 == 0:
                 brute = math.lcm(brute, *parts)
-        assert _pool_exponent("alternating", m) == brute, m
+        assert _alternating_exponent(m) == brute, m
 
 
 def test_witnesses_under_small_cayley_cap():
@@ -263,7 +262,8 @@ def test_witnesses_of_a_word_outside_the_power_law_are_checked_on_the_word():
 def test_a_pool_group_failing_its_power_law_is_a_fault(monkeypatch):
     # x^30 implies itself, so a candidate failing it means a wrong closed
     # form: here Alt(6), whose exponent is 60, claimed to be 30
-    monkeypatch.setattr("anaburnside.analyzer._pool_exponent", lambda kind, arg: 30)
+    pool = tuple(dataclasses.replace(g, exponent=30) for g in witness_pool())
+    monkeypatch.setattr("anaburnside.analyzer.witness_pool", lambda: pool)
     with pytest.raises(RuntimeError, match="Alt\\(6\\)"):
         classify(parse_word("x^30"), d=2)
 

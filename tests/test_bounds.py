@@ -17,7 +17,6 @@ from anaburnside.bounds import (
     anabelian_intermediate_bound,
     lie_product_bound,
     main_theorem_bound,
-    schreier_generator_bound,
     semisimple_bound,
     sporadic_factor,
 )
@@ -161,15 +160,6 @@ def test_series_matches_single_shots():
         assert cmp_t(series[k - 1].closed, one.closed) == 0
     with pytest.raises(ValueError):
         anabelian_bound_series(p, 0)
-
-
-def test_schreier_bound():
-    idx = from_real(65536)
-    assert abs(to_real(schreier_generator_bound(2, idx)) - 65537) < 1e-40
-    assert abs(to_real(schreier_generator_bound(2, idx, simplified=True))
-               - 131072) < 1e-40
-    assert to_real(schreier_generator_bound(1, idx)) == 1
-    assert abs(to_real(schreier_generator_bound(3, from_real(10))) - 21) < 1e-40
 
 
 def test_main_theorem_bound_height():

@@ -1,4 +1,4 @@
-"""Catalog tables, order bounds, law-length bounds, candidate enumeration."""
+"""Catalog tables, exact orders, law-length bounds, candidate enumeration."""
 
 import math
 import os
@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 from anaburnside import catalog
 from anaburnside.catalog import (
@@ -22,11 +21,11 @@ from anaburnside.catalog import (
     catalog_table_rows,
     exact_order,
     is_prime_power,
+    known_groups,
     law_length_lower_bound,
-    order_upper_bound,
     psl2,
 )
-from anaburnside.towers import cmp_t, from_real, to_real
+from anaburnside.engine import make_group, shortest_law_search
 
 SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "catalog_snapshot.json")
 
@@ -83,15 +82,6 @@ def test_rank_constraints():
         SporadicId(27)
 
 
-def test_order_upper_bound():
-    assert order_upper_bound(AltId(5)) == from_real(60)
-    assert order_upper_bound(psl2(5)) == from_real(125)
-    assert order_upper_bound(LieId("G2", 2, 3)) == from_real(3 ** 14)
-    with mp.workdps(60):
-        assert order_upper_bound(SporadicId(1)) == from_real(mp.exp(100))
-        assert order_upper_bound(SporadicId(1), "E_1(10)") == from_real(mp.exp(10))
-
-
 def test_exact_order():
     assert exact_order(AltId(6)) == 360
     assert exact_order(psl2(7)) == 168
@@ -105,8 +95,7 @@ def test_exact_order_below_upper_bound():
     for q in range(2, 1001):
         if not is_prime_power(q):
             continue
-        gid = psl2(q)
-        assert cmp_t(from_real(exact_order(gid)), order_upper_bound(gid)) <= 0
+        assert exact_order(psl2(q)) <= q ** b_value("A", 1)
 
 
 def test_law_length_lower_bound():
@@ -116,6 +105,15 @@ def test_law_length_lower_bound():
     assert law_length_lower_bound(SporadicId(5)) == 1
     assert law_length_lower_bound(LieId("B", 5, 2), c_lower=1.0) == 16
     assert law_length_lower_bound(psl2(7), c_lower=0.5) == 3
+
+
+@pytest.mark.parametrize("gid", [AltId(5), AltId(6), AltId(7), psl2(7), psl2(8), psl2(11)],
+                         ids=str)
+def test_law_length_lower_bound_holds_on_desk_scale_groups(gid):
+    # at the default c_lower, no 2-variable law is shorter than the bound
+    bound = law_length_lower_bound(gid)
+    G = make_group(known_groups()[gid].descriptor)
+    assert shortest_law_search(G, bound - 1, 2).certificate == "none_up_to(%d)" % (bound - 1)
 
 
 def test_candidates_small_lengths():
@@ -281,11 +279,3 @@ def test_catalog_json_byte_stable():
         frozen = fh.read()
     assert catalog_table_json().encode() == frozen
     assert catalog_table_json() == catalog_table_json()
-
-
-def test_alt_order_uses_factorial():
-    assert order_upper_bound(AltId(7)) == from_real(math.factorial(7) // 2)
-    big = order_upper_bound(AltId(2000))
-    with mp.workdps(60):
-        assert cmp_t(big, from_real(mp.mpf(2000) ** 2000)) < 0
-        assert cmp_t(from_real(mp.mpf(1000) ** 1000), big) < 0

@@ -334,6 +334,17 @@ def test_cli_import_does_not_load_sympy():
                    env=_child_env(), check=True, timeout=120)
 
 
+def test_cli_import_does_no_number_theory():
+    # the table of known simple groups is built on first use, not at import
+    script = ("import anaburnside.catalog as catalog\n"
+              "calls = []\n"
+              "factorize = catalog.factorize\n"
+              "catalog.factorize = lambda n: calls.append(n) or factorize(n)\n"
+              "import anaburnside.cli\n"
+              "assert not calls, len(calls)\n")
+    subprocess.run([sys.executable, "-c", script], env=_child_env(), check=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv, loads", [
     (["bound", "x^30"], False),
     (["catalog", "--length", "30"], False),

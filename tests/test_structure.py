@@ -2,6 +2,8 @@
 
 import pytest
 
+import structure_oracle as old
+from anaburnside.catalog import witness_pool
 from anaburnside.engine import (
     alternating,
     as_indexed,
@@ -88,6 +90,17 @@ def test_simple_name():
     assert simple_name(504) == "PSL(2,8)"
     assert simple_name(20160) == "Alt(8) or PSL(3,4)"
     assert simple_name(100) == "simple of order 100"
+
+
+def test_known_groups_agree_with_the_order_tables_and_the_pool():
+    tables = (old.ALT_ORDERS, old.PSL2_ORDERS, old.SPORADIC_ORDERS)
+    orders = {order for table in tables for order in table} | {20160}
+    # other orders: every small one, and twice each order in the tables
+    orders |= set(range(1, 2000)) | {2 * order for order in orders}
+    for order in sorted(orders):
+        assert simple_name(order) == old.simple_name(order), order
+    assert [(g.descriptor, g.name) for g in witness_pool()] == [
+        ("%s(%d)" % (kind, arg), name) for kind, arg, name in old.POOL]
 
 
 def test_composition_report_orders_multiply():
