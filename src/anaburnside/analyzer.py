@@ -5,16 +5,18 @@ exponents force solvability through Feit-Thompson, two-prime exponents
 through Burnside, and the remaining exponents are probed for a concrete
 simple witness group satisfying the word. Disjoint commutators are
 handled through the subdirect-product embedding of the two factors.
+`decide` reaches the verdict without the size bound; `analyze` then
+attaches the bound, once per report node.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import BoundReport, main_theorem_bound
 from .catalog import factorize, witness_pool
 from .config import Config
 from .engine import is_law, make_group
 from .errors import CapExceeded
-from .words import Word, neumann_exponent, parse_word, split_disjoint_commutator, to_string
+from .words import Word, neumann_exponent, split_disjoint_commutator, to_string
 
 VERDICT_RANK = "TrivialByRank"
 VERDICT_FT = "TrivialByFeitThompson"
@@ -22,6 +24,7 @@ VERDICT_BURNSIDE = "TrivialByBurnside"
 VERDICT_WITNESS = "NontrivialWitness"
 VERDICT_TRIVIAL_FACTORS = "TrivialByFactors"
 VERDICT_UNKNOWN = "Unknown"
+_TRIVIAL = frozenset({VERDICT_RANK, VERDICT_FT, VERDICT_BURNSIDE})
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,10 @@ class WitnessRecord:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """A verdict on a word at rank d; `bound` is None until it is attached."""
+
     word: Word
     d: int
-    length: int
     case: str
     verdict: str
     exponent: int = None
@@ -58,7 +62,6 @@ class AnalysisReport:
         out = {
             "word": to_string(self.word),
             "d": self.d,
-            "length": self.length,
             "case": self.case,
             "verdict": self.verdict,
             "notes": list(self.notes),
@@ -75,8 +78,14 @@ class AnalysisReport:
         if self.sub_reports:
             out["sub_reports"] = [r.to_dict() for r in self.sub_reports]
         if self.bound is not None:
+            out["length"] = self.length
             out["bound"] = self.bound.to_dict()
         return out
+
+    @property
+    def length(self) -> int:
+        """The law length the bound was evaluated at."""
+        return self.bound.params.length
 
 
 def _search_witnesses(w: Word, n: int, config: Config):
@@ -117,7 +126,7 @@ def _search_witnesses(w: Word, n: int, config: Config):
     return tuple(witnesses), notes
 
 
-def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
+def _case_split(w: Word, d: int, config: Config) -> AnalysisReport:
     """Decide what the word's exponent implies for anabelian quotients.
 
     Rank 1: one-generated groups are cyclic, so the quotient is trivial. Odd
@@ -129,120 +138,106 @@ def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
     """
     if w.is_empty():
         raise ValueError("the trivial word defines the whole free group")
-    if config is None:
-        config = Config()
     if d < 1:
         raise ValueError("d must be positive")
-    bound = main_theorem_bound(w, d, config=config)
     if d == 1:
-        return AnalysisReport(w, d, bound.params.length, "rank", VERDICT_RANK, bound=bound,
+        return AnalysisReport(w, d, "rank", VERDICT_RANK,
                               notes=("rank 1: one-generated groups are cyclic, so every "
                                      "anabelian quotient is trivial regardless of the word",))
-    notes = []
     n = neumann_exponent(w)
     if n == 0:
-        notes.append("word lies in the derived subgroup; abelian quotients "
-                     "vanish but finite quotients can be unboundedly large, "
-                     "so no finite criterion applies")
-        return AnalysisReport(w, d, bound.params.length, "derived",
-                              VERDICT_UNKNOWN, bound=bound, notes=tuple(notes))
+        return AnalysisReport(w, d, "derived", VERDICT_UNKNOWN,
+                              notes=("word lies in the derived subgroup; abelian quotients "
+                                     "vanish but finite quotients can be unboundedly large, "
+                                     "so no finite criterion applies",))
     factors = factorize(n)
     if n % 2:
-        notes.append("exponent %d is odd: groups of odd exponent have odd "
-                     "order, hence are solvable by Feit-Thompson" % n)
-        return AnalysisReport(w, d, bound.params.length, "periodic", VERDICT_FT,
-                              exponent=n, bound=bound, notes=tuple(notes))
+        return AnalysisReport(w, d, "periodic", VERDICT_FT, exponent=n,
+                              notes=("exponent %d is odd: groups of odd exponent have odd "
+                                     "order, hence are solvable by Feit-Thompson" % n,))
     odd = [(p, e) for p, e in factors if p != 2]
     if len(odd) <= 1:
         a = dict(factors).get(2, 0)
         p, b = odd[0] if odd else (None, 0)
-        notes.append("exponent %d = 2^%d%s admits only {2%s}-groups, solvable "
-                     "by Burnside's two-prime theorem"
-                     % (n, a, "" if p is None else " * %d^%d" % (p, b),
-                        "" if p is None else ", %d" % p))
-        return AnalysisReport(w, d, bound.params.length, "periodic",
-                              VERDICT_BURNSIDE, exponent=n, burnside=(a, p, b),
-                              bound=bound, notes=tuple(notes))
-    witnesses, wnotes = _search_witnesses(w, n, config)
-    notes.extend(wnotes)
+        note = ("exponent %d = 2^%d%s admits only {2%s}-groups, solvable by Burnside's "
+                "two-prime theorem" % (n, a, "" if p is None else " * %d^%d" % (p, b),
+                                       "" if p is None else ", %d" % p))
+        return AnalysisReport(w, d, "periodic", VERDICT_BURNSIDE, exponent=n,
+                              burnside=(a, p, b), notes=(note,))
+    witnesses, notes = _search_witnesses(w, n, config)
     if witnesses:
-        return AnalysisReport(w, d, bound.params.length, "periodic",
-                              VERDICT_WITNESS, exponent=n, witnesses=witnesses,
-                              bound=bound, notes=tuple(notes))
+        return AnalysisReport(w, d, "periodic", VERDICT_WITNESS, exponent=n,
+                              witnesses=witnesses, notes=tuple(notes))
     notes.append("no witness found among the desk-scale simple groups; "
                  "nontriviality is undecided, not refuted")
-    return AnalysisReport(w, d, bound.params.length, "periodic",
-                          VERDICT_UNKNOWN, exponent=n, bound=bound,
-                          notes=tuple(notes))
+    return AnalysisReport(w, d, "periodic", VERDICT_UNKNOWN, exponent=n, notes=tuple(notes))
 
 
-def _is_single_variable_law(w: Word) -> bool:
-    return len(w.syllables) == 1 and abs(w.syllables[0][1]) == 1
+def decide(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
+    """The verdict on w at rank d, with no bound on any node.
 
-
-def analyze_disjoint_commutator(w: Word, d: int,
-                                config: Config | None = None) -> AnalysisReport:
-    """Classify both halves of w = [w1, w2] with disjoint supports.
-
-    The quotient variety of w embeds into the product of the two factor
+    A word w = [w1, w2] whose factors share no variable is split once: the
+    quotient variety of w embeds into the product of the two factor
     varieties as a subdirect product, so triviality of the factors
-    propagates; a bare-variable factor is the trivial variety, leaving an
-    isomorphism with the other factor.
+    propagates, and a bare-variable factor is the trivial variety, leaving
+    an isomorphism with the other factor. Each factor, like every other
+    word, goes through the exponent case split and is not split again.
     """
     if config is None:
         config = Config()
-    split = split_disjoint_commutator(w)
+    split = None if w.is_empty() else split_disjoint_commutator(w)
     if split is None:
-        raise ValueError("word is not a disjoint commutator")
-    w1, w2 = split
-    sub1 = classify(w1, d, config)
-    sub2 = classify(w2, d, config)
-    bound = main_theorem_bound(w, d, config=config)
-    trivial = {VERDICT_RANK, VERDICT_FT, VERDICT_BURNSIDE}
+        return _case_split(w, d, config)
+    sub1, sub2 = (_case_split(f, d, config) for f in split)
+    bare = [len(f.syllables) == 1 and abs(f.syllables[0][1]) == 1 for f in split]
     verdict = VERDICT_UNKNOWN
     witnesses = ()
-    if _is_single_variable_law(w2) or _is_single_variable_law(w1):
-        other = sub1 if _is_single_variable_law(w2) else sub2
-        bare = "second" if _is_single_variable_law(w2) else "first"
+    if any(bare):
+        which, other = ("second", sub1) if bare[1] else ("first", sub2)
         conclusion = ("the %s factor is a bare variable, whose variety is "
                       "trivial; the quotient variety is isomorphic to the "
-                      "other factor's" % bare)
-        verdict = other.verdict
-        witnesses = other.witnesses
-    elif sub1.verdict in trivial and sub2.verdict in trivial:
+                      "other factor's" % which)
+        verdict, witnesses = other.verdict, other.witnesses
+    elif sub1.verdict in _TRIVIAL and sub2.verdict in _TRIVIAL:
         conclusion = ("both factor varieties are trivial, so the subdirect "
                       "embedding forces the quotient variety to be trivial")
         verdict = VERDICT_TRIVIAL_FACTORS
-    elif sub1.verdict in trivial or sub2.verdict in trivial:
-        which, other = (("first", sub2) if sub1.verdict in trivial
+    elif sub1.verdict in _TRIVIAL or sub2.verdict in _TRIVIAL:
+        which, other = (("first", sub2) if sub1.verdict in _TRIVIAL
                         else ("second", sub1))
         conclusion = ("the %s factor variety is trivial, so the group embeds "
                       "into the other factor's variety" % which)
         # every group satisfying the other factor's law satisfies w, so
         # that factor's witnesses carry over
-        verdict = other.verdict
-        witnesses = other.witnesses
+        verdict, witnesses = other.verdict, other.witnesses
     elif sub1.witnesses or sub2.witnesses:
         conclusion = ("every group satisfying either factor's law satisfies "
                       "the commutator, so each factor's witnesses carry over")
         verdict = VERDICT_WITNESS
-        first = {w.descriptor for w in sub1.witnesses}
-        witnesses = sub1.witnesses + tuple(w for w in sub2.witnesses
-                                           if w.descriptor not in first)
+        first = {r.descriptor for r in sub1.witnesses}
+        witnesses = sub1.witnesses + tuple(r for r in sub2.witnesses
+                                           if r.descriptor not in first)
     else:
         conclusion = ("the group embeds as a subdirect product into the "
                       "product of the two factor varieties")
-    notes = ("factors have disjoint supports, giving the subdirect-product "
-             "embedding",)
-    return AnalysisReport(w, d, bound.params.length, "disjoint_commutator",
-                          verdict, witnesses=witnesses, bound=bound,
-                          notes=notes, sub_reports=(sub1, sub2),
-                          conclusion=conclusion)
+    return AnalysisReport(w, d, "disjoint_commutator", verdict, witnesses=witnesses,
+                          notes=("factors have disjoint supports, giving the "
+                                 "subdirect-product embedding",),
+                          sub_reports=(sub1, sub2), conclusion=conclusion)
+
+
+def _with_bounds(report: AnalysisReport, config: Config | None) -> AnalysisReport:
+    """The report with the size bound of its own word on it and on each
+    sub-report: one `main_theorem_bound` evaluation per node."""
+    return replace(report, bound=main_theorem_bound(report.word, report.d, config=config),
+                   sub_reports=tuple(_with_bounds(r, config) for r in report.sub_reports))
+
+
+def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
+    """The exponent case split on w as a whole, never split, with its bound."""
+    return _with_bounds(_case_split(w, d, Config() if config is None else config), config)
 
 
 def analyze(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
-    """Entry point: route disjoint commutators to the embedding analysis,
-    everything else to the exponent case split."""
-    if not w.is_empty() and split_disjoint_commutator(w) is not None:
-        return analyze_disjoint_commutator(w, d, config)
-    return classify(w, d, config)
+    """Entry point: `decide`, then the bound on every node."""
+    return _with_bounds(decide(w, d, config), config)

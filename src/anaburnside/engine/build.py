@@ -18,6 +18,7 @@ _IRREDUCIBLE = {
     25: (1, 1, 1),
     27: (1, 2, 0, 1),
     32: (1, 0, 1, 0, 0, 1),
+    49: (1, 0, 1),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anaburnside import analyzer
 from anaburnside.analyzer import (
     VERDICT_BURNSIDE,
     VERDICT_FT,
@@ -15,13 +16,15 @@ from anaburnside.analyzer import (
     VERDICT_UNKNOWN,
     VERDICT_WITNESS,
     analyze,
-    analyze_disjoint_commutator,
     classify,
+    decide,
 )
 from anaburnside.catalog import _alternating_exponent, factorize, witness_pool
 from anaburnside.config import Config
 from anaburnside.engine import group_exponent, is_law, make_group
 from anaburnside.words import parse_word
+
+from test_golden import COMMANDS, CONFIGS
 
 
 def test_factor_exponent():
@@ -147,10 +150,24 @@ def test_rank_one_is_trivial_whatever_the_exponent():
 
 
 def test_classify_rejects_bad_input():
-    with pytest.raises(ValueError):
-        classify(parse_word("x x^-1"), d=2)
-    with pytest.raises(ValueError):
-        classify(parse_word("x^2"), d=0)
+    for entry in (classify, decide, analyze):
+        with pytest.raises(ValueError, match="trivial word"):
+            entry(parse_word("x x^-1"), d=2)
+        for text in ("x^2", "[x^2,y]"):
+            with pytest.raises(ValueError, match="d must be positive"):
+                entry(parse_word(text), d=0)
+
+
+def test_the_bound_is_evaluated_once_per_report_node(monkeypatch):
+    words = []
+    bound = analyzer.main_theorem_bound
+    monkeypatch.setattr(analyzer, "main_theorem_bound",
+                        lambda w, d, config: words.append(w) or bound(w, d, config=config))
+    decide(parse_word("[x^30,y]"), d=2)
+    assert words == []
+    r = analyze(parse_word("[x^30,y]"), d=2)
+    assert words == [r.word] + [s.word for s in r.sub_reports]
+    assert [r.length] + [s.length for s in r.sub_reports] == [62, 30, 2]
 
 
 def test_disjoint_commutator_isomorphism():
@@ -222,11 +239,14 @@ def test_analyze_routes_plain_words_to_classify():
     assert r.verdict == VERDICT_BURNSIDE
 
 
-def test_analyze_disjoint_commutator_requires_split():
-    with pytest.raises(ValueError):
-        analyze_disjoint_commutator(parse_word("x^6"), d=2)
-    with pytest.raises(ValueError):
-        analyze_disjoint_commutator(parse_word("[x,y] x"), d=2)
+def test_decide_splits_only_disjoint_commutators_and_only_once():
+    for text in ("x^6", "[x,y] x", "[x,y]^2"):
+        r = decide(parse_word(text), d=2)
+        assert r.case != "disjoint_commutator" and r.sub_reports == (), text
+    r = decide(parse_word("[[x,y],[z,w]]"), d=4)
+    assert [s.word for s in r.sub_reports] == [parse_word("[x,y]")] * 2
+    assert all(s.case == "derived" and s.sub_reports == () for s in r.sub_reports)
+    assert r.bound is None and all(s.bound is None for s in r.sub_reports)
 
 
 def test_report_json_deterministic():
@@ -266,6 +286,36 @@ def test_a_pool_group_failing_its_power_law_is_a_fault(monkeypatch):
     monkeypatch.setattr("anaburnside.analyzer.witness_pool", lambda: pool)
     with pytest.raises(RuntimeError, match="Alt\\(6\\)"):
         classify(parse_word("x^30"), d=2)
+
+
+def _without_bounds(report):
+    return dataclasses.replace(report, bound=None,
+                               sub_reports=tuple(map(_without_bounds, report.sub_reports)))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in COMMANDS.items() if argv[0] == "analyze"))
+def test_decide_is_analyze_without_its_bounds_on_golden_words(name):
+    argv = COMMANDS[name]
+    d = int(argv[argv.index("--rank") + 1]) if "--rank" in argv else 2
+    w = parse_word(argv[1], rank_hint=d)
+    config = Config(**CONFIGS.get(name, {}))
+    assert decide(w, d, config) == _without_bounds(analyze(w, d, config))
+
+
+_syllables = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from((-2, -1, 1, 2, 3, 5, 30))),
+                      min_size=1, max_size=4).map(lambda s: " ".join("%s^%d" % p for p in s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_syllables, st.builds("[{}, {}]".format, _syllables,
+                                       _syllables.map(lambda t: t.replace("x", "z")
+                                                      .replace("y", "w")))),
+       st.sampled_from((1, 2, 3)))
+def test_decide_is_analyze_without_its_bounds_on_short_words(text, d):
+    w = parse_word(text)
+    if w.is_empty():
+        return
+    assert decide(w, d) == _without_bounds(analyze(w, d))
 
 
 @st.composite

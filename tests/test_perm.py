@@ -253,8 +253,9 @@ def test_degree_cap():
 def test_builders_reach_degree_cap():
     assert alternating(17).order() == math.factorial(17) // 2
     assert psl2_group(37).order() == 25308
+    assert psl2_group(49).order() == 58800
     with pytest.raises(ValueError, match="no modulus table"):
-        psl2_group(49)
+        psl2_group(81, degree_cap=82)
     for m in (0, -5):
         with pytest.raises(ValueError):
             alternating(m)

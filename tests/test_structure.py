@@ -3,7 +3,8 @@
 import pytest
 
 import structure_oracle as old
-from anaburnside.catalog import witness_pool
+from anaburnside.catalog import known_groups, witness_pool
+from anaburnside.config import Config
 from anaburnside.engine import (
     alternating,
     as_indexed,
@@ -15,6 +16,7 @@ from anaburnside.engine import (
     is_anabelian,
     is_semisimple,
     is_solvable,
+    make_group,
     minimal_normal_subgroups,
     nonsolvable_length,
     psl2_group,
@@ -101,6 +103,19 @@ def test_known_groups_agree_with_the_order_tables_and_the_pool():
         assert simple_name(order) == old.simple_name(order), order
     assert [(g.descriptor, g.name) for g in witness_pool()] == [
         ("%s(%d)" % (kind, arg), name) for kind, arg, name in old.POOL]
+
+
+def test_every_known_group_under_the_degree_cap_builds_with_its_order():
+    # a descriptor names Alt(m) on m points or PSL(2,q) on q + 1 points
+    built = []
+    for group in known_groups().values():
+        if group.descriptor is None:
+            continue
+        kind, arg = group.descriptor.rstrip(")").split("(")
+        if int(arg) + (kind == "psl2") <= Config.degree_cap:
+            assert make_group(group.descriptor).order() == group.order, group.name
+            built.append(group.descriptor)
+    assert "alternating(20)" in built and "psl2(49)" in built and "psl2(64)" not in built
 
 
 def test_composition_report_orders_multiply():
