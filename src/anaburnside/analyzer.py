@@ -6,7 +6,7 @@ through Burnside, and the remaining exponents are probed for a concrete
 simple witness group satisfying the word. Disjoint commutators are
 handled through the subdirect-product embedding of the two factors.
 `decide` reaches the verdict without the size bound; `analyze` then
-attaches the bound, once per report node.
+attaches the bound, once per distinct word length.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +16,8 @@ from .catalog import factorize, witness_pool
 from .config import Config
 from .engine import is_law, make_group
 from .errors import CapExceeded
-from .words import Word, neumann_exponent, split_disjoint_commutator, to_string
+from .words import (Word, neumann_exponent, split_disjoint_commutator, to_string,
+                    word_length)
 
 VERDICT_RANK = "TrivialByRank"
 VERDICT_FT = "TrivialByFeitThompson"
@@ -228,9 +229,18 @@ def decide(w: Word, d: int, config: Config | None = None) -> AnalysisReport:
 
 def _with_bounds(report: AnalysisReport, config: Config | None) -> AnalysisReport:
     """The report with the size bound of its own word on it and on each
-    sub-report: one `main_theorem_bound` evaluation per node."""
-    return replace(report, bound=main_theorem_bound(report.word, report.d, config=config),
-                   sub_reports=tuple(_with_bounds(r, config) for r in report.sub_reports))
+    sub-report. A bound depends on the word only through its length, so
+    nodes of equal length and rank share one `main_theorem_bound`
+    evaluation, kept for this report alone."""
+    found = {}
+
+    def attach(r):
+        key = (word_length(r.word), r.d)
+        if key not in found:
+            found[key] = main_theorem_bound(r.word, r.d, config=config)
+        return replace(r, bound=found[key],
+                       sub_reports=tuple(attach(s) for s in r.sub_reports))
+    return attach(report)
 
 
 def classify(w: Word, d: int, config: Config | None = None) -> AnalysisReport:

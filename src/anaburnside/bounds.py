@@ -97,48 +97,68 @@ def _grid_term(family: str, k: int, q: int, d: int) -> TowerNumber:
     return exp_t(mul_t(pow_t(qb, d), ln_t(qb)))
 
 
-def _family_grid(p: BoundParams, family: str) -> TowerNumber:
-    """Product of the family's grid factors over ranks k with q^(c1*k) <= l.
+def _log_product(factors):
+    """Product of factors given as (ln of the factor, or None, and a
+    function that builds the factor as a tower value).
 
-    ln of each factor is (q^b)^d * b * ln q, and those logarithms are summed
-    as one real while both the sum and the next term stay below CHEAP_MAG
-    magnitude. In that regime every tower product of the factor-by-factor
-    fold takes its exact branch, so the sum is the same value, canonicalized
-    once instead of through several tower operations per factor. From the
-    first term outside it the fold runs factor by factor, so the inexact
-    flags fall where they always did.
+    The logarithms are summed as one real while both the sum and the next
+    term stay below CHEAP_MAG magnitude. In that regime every tower product
+    of the factor-by-factor fold takes its exact branch, so the sum is the
+    same value, canonicalized once instead of through several tower
+    operations per factor. From the first term outside it, or without a
+    logarithm, the fold runs factor by factor, so the inexact flags fall
+    where they always did. Returns the product and its log sum, or None in
+    place of the sum once the fold has run.
     """
     log_sum = mp.mpf(0)
     product = None
-    for k in family_ranks(family, _grid_rank_cap(p)):
+    for log_term, build in factors:
+        if product is None:
+            if (log_term is not None and mp.mag(log_sum) <= CHEAP_MAG
+                    and mp.mag(log_term) <= CHEAP_MAG):
+                log_sum += log_term
+                continue
+            product = exp_t(from_real(log_sum))
+        product = mul_t(product, build())
+    if product is None:
+        return exp_t(from_real(log_sum)), log_sum
+    return product, None
+
+
+def _family_factors(p: BoundParams, family: str, cutoffs: dict):
+    """The family's grid factors over ranks k with q^(c1*k) <= l, each as
+    its logarithm (q^b)^d * b * ln q and a builder for the factor itself;
+    `cutoffs` maps each rank k to the largest such q."""
+    for k in family_ranks(family, len(cutoffs)):
         b = b_value(family, k)
-        q_cap = _largest_admissible_q(p.length, p.config.c1 * k)
-        for q in admissible_q_values(family, q_cap):
-            if product is None:
-                log_term = mp.power(q, b * p.d) * b * mp.ln(q)
-                if mp.mag(log_sum) <= CHEAP_MAG and mp.mag(log_term) <= CHEAP_MAG:
-                    log_sum += log_term
-                    continue
-                product = exp_t(from_real(log_sum))
-            product = mul_t(product, _grid_term(family, k, q, p.d))
-    return exp_t(from_real(log_sum)) if product is None else product
+        for q in admissible_q_values(family, cutoffs[k]):
+            yield (mp.power(q, b * p.d) * b * mp.ln(q),
+                   lambda k=k, q=q: _grid_term(family, k, q, p.d))
 
 
 def lie_product_bound(p: BoundParams) -> LieBounds:
     """Lie-type stage: closed form exp(c3 ln(l)^3 exp(l^(c4 d ln l))) and,
     per family, the grid product of (q^b)^((q^b)^d) over ranks k with
-    q^(c1*k) <= l and k at most about c2*ln(l)."""
+    q^(c1*k) <= l and k at most about c2*ln(l).
+
+    The total over the families is the sum of their grid logarithms, with
+    the same regime rule as within a family, and each rank's q cutoff is
+    found once for all families.
+    """
     with working_precision(p.config.precision):
         lnl = mp.ln(p.length)
         cube_arg = p.config.c3 * lnl ** 3
         tower_arg = p.config.c4 * p.d * lnl ** 2
         closed = exp_t(mul_t(from_real(cube_arg),
                              exp_t(exp_t(from_real(tower_arg)))))
-        grids = {}
-        total = ONE
+        cutoffs = {k: _largest_admissible_q(p.length, p.config.c1 * k)
+                   for k in range(1, _grid_rank_cap(p) + 1)}
+        grids, logs = {}, []
         for family in FAMILY_ORDER:
-            grids[family] = _family_grid(p, family)
-            total = mul_t(total, grids[family])
+            grid, log_sum = _log_product(_family_factors(p, family, cutoffs))
+            grids[family] = grid
+            logs.append((log_sum, lambda grid=grid: grid))
+        total, _ = _log_product(logs)
     return LieBounds(closed, grids, total)
 
 

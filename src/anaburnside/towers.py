@@ -11,7 +11,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import total_ordering
+from functools import cache, total_ordering
 
 from mpmath import mp
 
@@ -49,6 +49,14 @@ def working_precision(dps: int):
             yield
     finally:
         _PRECISION.reset(token)
+
+
+@cache
+def _resolution(dps: int):
+    """10^(10-dps), the index resolution at dps digits, built once per
+    precision: the snap width of `tower` and the tie width of `cmp_t`."""
+    with mp.workdps(dps):
+        return mp.mpf(10) ** (10 - dps)
 
 
 @total_ordering
@@ -113,7 +121,7 @@ def tower(height: int, index) -> TowerNumber:
     with mp.workdps(dps):
         x = mp.mpf(index)
         h = int(height)
-        snap = mp.mpf(10) ** (10 - dps)
+        snap = _resolution(dps)
         stepped = False
         while True:
             if stepped:
@@ -202,7 +210,7 @@ def cmp_t(x: TowerNumber, y: TowerNumber) -> int:
     dps = get_precision()
     with mp.workdps(dps):
         d = mp.mpf(x.index) - mp.mpf(y.index)
-        if abs(d) <= mp.mpf(10) ** (10 - dps):
+        if abs(d) <= _resolution(dps):
             return 0
     return -1 if d < 0 else 1
 

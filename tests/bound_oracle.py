@@ -3,8 +3,9 @@
 These are the step-by-step loops the bound pipeline replaced, kept as the
 oracle for the differential tests: the anabelian recursion one tower
 product per step with no settled-regime jump, each Lie grid as one tower
-product per grid point with no log-space sum, and the grid's q cutoff by
-probing q = 1, 2, ... in turn.
+product per grid point with no log-space sum, the Lie total as one tower
+product per family, and the grid's q cutoff by probing q = 1, 2, ... in
+turn, once per family and rank.
 """
 
 from mpmath import mp
@@ -56,3 +57,14 @@ def grid_fold(p):
                     product = mul_t(product, term)
             grids[family] = product
     return grids
+
+
+def total_fold(p):
+    """The Lie total: the families' `grid_fold` products, one tower product
+    per family in FAMILY_ORDER."""
+    grids = grid_fold(p)
+    with working_precision(p.config.precision):
+        total = _ONE
+        for family in FAMILY_ORDER:
+            total = mul_t(total, grids[family])
+    return total

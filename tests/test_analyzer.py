@@ -158,16 +158,25 @@ def test_classify_rejects_bad_input():
                 entry(parse_word(text), d=0)
 
 
-def test_the_bound_is_evaluated_once_per_report_node(monkeypatch):
+@pytest.mark.parametrize("text, lengths, evaluated", [
+    ("[x^30,y]", [62, 30, 2], 3),
+    # both factors have length 1 (raised to 2) or 5: one bound serves both
+    ("[x,y]", [4, 2, 2], 2),
+    ("[x^5,y^5]", [20, 5, 5], 2),
+])
+def test_the_bound_is_evaluated_once_per_report_node(monkeypatch, text, lengths, evaluated):
     words = []
     bound = analyzer.main_theorem_bound
     monkeypatch.setattr(analyzer, "main_theorem_bound",
                         lambda w, d, config: words.append(w) or bound(w, d, config=config))
-    decide(parse_word("[x^30,y]"), d=2)
+    decide(parse_word(text), d=2)
     assert words == []
-    r = analyze(parse_word("[x^30,y]"), d=2)
-    assert words == [r.word] + [s.word for s in r.sub_reports]
-    assert [r.length] + [s.length for s in r.sub_reports] == [62, 30, 2]
+    r = analyze(parse_word(text), d=2)
+    nodes = [r] + list(r.sub_reports)
+    assert [n.length for n in nodes] == lengths
+    assert words[0] == r.word and len(words) == evaluated
+    for n in nodes:
+        assert n.bound.to_dict() == bound(n.word, 2).to_dict()
 
 
 def test_disjoint_commutator_isomorphism():

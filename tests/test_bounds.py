@@ -260,13 +260,17 @@ def assert_recursion_matches_literal(p):
 
 def assert_grids_match_literal(p):
     want = oracle.grid_fold(p)
-    got = lie_product_bound(p).grids
+    lie = lie_product_bound(p)
+    got = lie.grids
     assert list(got) == list(want)
     tol = mpmath.mpf(10) ** (10 - p.config.precision)
     for family, w in want.items():
         g = got[family]
         assert (g.height, g.inexact) == (w.height, w.inexact), family
         assert abs(g.index - w.index) <= tol, family
+    w, g = oracle.total_fold(p), lie.grid_total
+    assert (g.height, g.inexact) == (w.height, w.inexact)
+    assert abs(g.index - w.index) <= tol
 
 
 @pytest.mark.parametrize("length", SWEEP_LENGTHS)
@@ -317,6 +321,21 @@ def test_recursion_settles_after_a_few_steps(monkeypatch):
     assert calls["mul_t"] <= 20
     assert ab.recursive.inexact
     assert cmp_t(ab.recursive, ab.closed) <= 0
+
+
+def test_bound_tower_work_is_pinned(monkeypatch):
+    # the Lie total is one log-space sum, not a tower product per family,
+    # and each rank's q cutoff is found once for all families
+    calls = Counter()
+    for name in ("mul_t", "_largest_admissible_q"):
+        def counted(*args, fn=getattr(bounds, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(bounds, name, counted)
+    main_theorem_bound(parse_word("x^30"), d=2)
+    assert calls["mul_t"] <= 11
+    # one per grid rank k = 1, 2, 3 at length 30
+    assert calls["_largest_admissible_q"] == 3
 
 
 @pytest.mark.parametrize("exponent", (1, 2, 3, 2.5, 7))
